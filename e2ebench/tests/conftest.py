@@ -1,0 +1,11 @@
+"""Put the benchmark's modules and the library on the import path."""
+
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPO_ROOT = os.path.dirname(BENCH_DIR)
+
+for path in (BENCH_DIR, os.path.join(REPO_ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
