@@ -9,8 +9,9 @@ the severity census make (DESIGN.md §16):
   non-exec metrics to a taint-off one — the instrumentation observes,
   it never perturbs.
 - **The census is deterministic.** The top-1K severity census yields
-  byte-identical findings at any worker count and with the streaming
-  scheduler on or off; the SDK capability ranking lands in the JSON.
+  byte-identical findings at any worker count and on either backend,
+  shards streaming out of order included; the SDK capability ranking
+  lands in the JSON.
 
 The site count is overridable for CI smoke runs via
 ``REPRO_BENCH_SITES``; the JSON summary lands in ``BENCH_impact.json``
@@ -92,12 +93,12 @@ def _finding_snapshot(result):
     ]
 
 
-def _run_census(max_workers, streaming):
+def _run_census(max_workers, backend="inline", window=None):
     obs = Obs()
     census = ImpactCensus(
         seed=0, obs=obs,
         exec_config=ExecConfig(max_workers=max_workers, chunk_size=1,
-                               backend="inline", streaming=streaming),
+                               backend=backend, window=window),
     )
     start = time.perf_counter()
     result = census.run()
@@ -140,10 +141,11 @@ def test_taint_execution_overhead(bench_json):
 
 
 def test_census_determinism_and_ranking(bench_json):
-    """Top-1K census: identical bytes across workers/streaming; rank SDKs."""
-    serial_obs, serial, serial_elapsed = _run_census(1, streaming=False)
-    sharded_obs, sharded, _ = _run_census(4, streaming=False)
-    streamed_obs, streamed, _ = _run_census(4, streaming=True)
+    """Top-1K census: identical bytes across workers/backends; rank SDKs."""
+    serial_obs, serial, serial_elapsed = _run_census(1)
+    sharded_obs, sharded, _ = _run_census(4)
+    # Shards stream out of completion order through a one-chunk window.
+    streamed_obs, streamed, _ = _run_census(4, backend="process", window=1)
 
     snapshot = _finding_snapshot(serial)
     assert _finding_snapshot(sharded) == snapshot

@@ -1,17 +1,20 @@
-"""Streaming-scheduler benchmark: interleaved studies vs pooled barriers.
+"""Scheduler benchmark: interleaved studies vs sequential barrier pools.
 
-Not a paper table — this tracks the wall-clock win of running the static
-study and the dynamic crawl through one streaming scheduler instead of
-two sequential barrier pools. The workload is deliberately skewed the
-way real mixed runs are: a handful of fat static chunks that underfill
-the pool (until work-stealing splits them) plus a few long crawl shards
-that a barrier would serialize behind. Results must stay byte-identical
-to the barrier baseline at every worker count exercised here.
+Not a paper table — this tracks the modeled win of running the static
+study and the dynamic crawl through one scheduler instead of two
+sequential barrier pools. The workload is deliberately skewed the way
+real mixed runs are: a handful of fat static chunks that underfill the
+pool (until work-stealing splits them) plus a few long crawl shards that
+a barrier would serialize behind. The interleaved results must stay
+byte-identical to separate runs at every worker count exercised here.
 
-Times are deterministic TickClock units replayed through the schedule
-simulators, so the asserted speedup is stable across machines.
+The barrier reference is the greedy replay in ``_barrier.py``, fed with
+the per-task costs the separate runs measured. Times are deterministic
+TickClock units replayed through schedule simulators, so the asserted
+speedup is modeled and stable across machines.
 """
 
+from _barrier import simulate_schedule
 from _emit import bench_json_fixture
 from repro.core import DynamicStudy, InterleavedStudies, StaticStudy
 from repro.obs import (
@@ -33,20 +36,23 @@ WORKERS = 8
 STATIC_CHUNK = 40
 
 
-def _make_studies(streaming, workers):
+def _make_studies(workers):
     static = StaticStudy(
         universe_size=UNIVERSE, seed=SEED, obs=Obs(),
         max_workers=workers, chunk_size=STATIC_CHUNK,
-        exec_backend="inline", streaming=streaming,
-        telemetry=None, results_store=None,
+        exec_backend="inline", telemetry=None, results_store=None,
     )
     dynamic = DynamicStudy(
         seed=SEED, site_count=SITES, obs=Obs(),
         max_workers=workers, chunk_size=1,
-        exec_backend="inline", streaming=streaming,
-        telemetry=None, results_store=None,
+        exec_backend="inline", telemetry=None, results_store=None,
     )
     return static, dynamic
+
+
+def _task_costs(obs):
+    """Measured per-task costs of a run: its execute span's children."""
+    return [task.duration for task in obs.tracer.find("execute").children]
 
 
 def _study_digest(result):
@@ -66,20 +72,26 @@ def _crawl_digest(crawl):
 
 
 def _barrier_baseline(workers):
-    """Sequential pooled runs; returns (digests, summed critical path)."""
-    static, dynamic = _make_studies(False, workers)
+    """Separate runs; returns (digests, summed barrier critical path).
+
+    Each study's measured task costs are replayed through the greedy
+    barrier pool, one study after the other.
+    """
+    static, dynamic = _make_studies(workers)
     result = static.run()
     crawl = dynamic.crawl_top_sites()
     critical = (
-        static.obs.registry.value(EXEC_CRITICAL_PATH_METRIC)
-        + dynamic.obs.registry.value(EXEC_CRITICAL_PATH_METRIC)
+        simulate_schedule(_task_costs(static.obs), workers,
+                          STATIC_CHUNK).critical_path
+        + simulate_schedule(_task_costs(dynamic.obs), workers,
+                            1).critical_path
     )
     return _study_digest(result), _crawl_digest(crawl), critical
 
 
 def _interleaved(workers):
-    """One shared streaming scheduler; returns digests + schedule stats."""
-    static, dynamic = _make_studies(True, workers)
+    """One shared scheduler; returns digests + schedule stats."""
+    static, dynamic = _make_studies(workers)
     result, crawl = InterleavedStudies(static, dynamic).run()
     # Both studies report the same shared makespan; read it once.
     makespan = static.obs.registry.value(EXEC_CRITICAL_PATH_METRIC)
@@ -100,7 +112,7 @@ def test_interleaved_speedup_over_pooled_baseline(bench_json):
     )
 
     # Byte-identity first: the speedup is worthless if the interleaved
-    # run computes different artifacts.
+    # run computes different artifacts than the separate runs.
     assert static_digest == base_static
     assert crawl_digest == base_crawl
 
@@ -109,7 +121,7 @@ def test_interleaved_speedup_over_pooled_baseline(bench_json):
     utilization = busy / (makespan * WORKERS)
     print()
     print("interleaved speedup at %d workers: %.2fx "
-          "(barrier %.1f -> streamed %.1f ticks, %d steals, "
+          "(barrier %.1f -> interleaved %.1f ticks, %d steals, "
           "%.0f%% pool utilization)"
           % (WORKERS, speedup, base_critical, makespan, steals,
              100 * utilization))

@@ -205,5 +205,8 @@ def decode_axml(data):
     strings = []
     for _ in range(string_count):
         length = cursor.u16()
-        strings.append(cursor.raw(length).decode("utf-8"))
+        try:
+            strings.append(cursor.raw(length).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ManifestError("undecodable axml string: %s" % exc)
     return _decode_element(cursor, strings)

@@ -8,6 +8,15 @@ from repro.android.components import (
 from repro.errors import ManifestError
 
 
+def _int_attribute(element, name, default):
+    """An integer attribute; a non-integer value is a ManifestError."""
+    raw = element.get(name, default)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ManifestError("non-integer %s: %r" % (name, raw))
+
+
 class AndroidManifest:
     """An app manifest: package identity, sdk levels, permissions, components."""
 
@@ -91,13 +100,14 @@ class AndroidManifest:
             raise ManifestError("root element must be <manifest>, got <%s>"
                                 % root.tag)
         package = root.get("package")
-        version_code = int(root.get("android:versionCode", "1"))
+        version_code = _int_attribute(root, "android:versionCode", "1")
         version_name = root.get("android:versionName", "1.0")
         min_sdk, target_sdk = 21, 33
         uses_sdk = root.find("uses-sdk")
         if uses_sdk is not None:
-            min_sdk = int(uses_sdk.get("android:minSdkVersion", "21"))
-            target_sdk = int(uses_sdk.get("android:targetSdkVersion", "33"))
+            min_sdk = _int_attribute(uses_sdk, "android:minSdkVersion", "21")
+            target_sdk = _int_attribute(uses_sdk, "android:targetSdkVersion",
+                                        "33")
         permissions = [
             p.get("android:name") for p in root.find_all("uses-permission")
         ]

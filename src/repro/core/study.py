@@ -7,7 +7,7 @@ from repro.dynamic.crawler import AdbCrawler, DEFAULT_CRAWL_CHUNK_SIZE
 from repro.exec.config import CHUNK_SIZE_ENV_VAR, _env_int
 from repro.dynamic.manual_study import ManualStudy
 from repro.dynamic.measurements import IabMeasurementHarness
-from repro.exec import ExecConfig, StreamScheduler, chain_results
+from repro.exec import ExecConfig, chain_results, run_studies
 from repro.obs import Obs, get_logger
 from repro.obs.progress import ProgressReporter, progress_enabled
 from repro.obs.store import TelemetryStore
@@ -37,16 +37,14 @@ class StaticStudy:
     ``max_workers`` / ``chunk_size`` / ``exec_backend`` shard the per-app
     analysis across a :mod:`repro.exec` worker pool; left at None they
     fall back to the ``REPRO_MAX_WORKERS`` / ``REPRO_CHUNK_SIZE`` /
-    ``REPRO_EXEC_BACKEND`` environment. ``streaming`` (or
-    ``REPRO_EXEC_STREAMING``) runs the study on the streaming scheduler
-    instead of the barrier pool. Results are byte-identical for any
-    worker count, backend and scheduler (see DESIGN.md §Execution).
+    ``REPRO_EXEC_BACKEND`` environment. Results are byte-identical for
+    any worker count and backend (see DESIGN.md §Execution).
     """
 
     def __init__(self, universe_size=20_000, seed=DEFAULT_SEED, corpus=None,
                  options=None, obs=None, max_workers=None, chunk_size=None,
-                 exec_backend=None, streaming=None, telemetry=None,
-                 results_store=None, progress_hook=None):
+                 exec_backend=None, telemetry=None, results_store=None,
+                 progress_hook=None):
         #: Per-study observability bundle (registry + tracer + clock).
         self.obs = obs if obs is not None else Obs()
         if corpus is None:
@@ -58,8 +56,7 @@ class StaticStudy:
         self.options = options or PipelineOptions()
         self.exec_config = ExecConfig(max_workers=max_workers,
                                       chunk_size=chunk_size,
-                                      backend=exec_backend,
-                                      streaming=streaming)
+                                      backend=exec_backend)
         #: Run-history sink; defaults to ``REPRO_OBS_DB`` when set.
         self.telemetry = (telemetry if telemetry is not None
                           else TelemetryStore.from_env())
@@ -77,41 +74,28 @@ class StaticStudy:
 
     def run(self, max_apps=None, progress=None):
         """Run the pipeline; memoizes the result and persists telemetry."""
-        if self.exec_config.streaming:
-            return self.run_streaming(max_apps=max_apps, progress=progress)
-        result = self.pipeline.run(max_apps=max_apps, progress=progress)
-        return self._finish_run(result)
+        prepared = {}
+        result = self.pipeline.run(max_apps=max_apps, progress=progress,
+                                   on_merge=self._row_preparer(prepared))
+        return self._finish_run(result, prepared=prepared)
 
-    def run_streaming(self, max_apps=None, progress=None):
-        """Run on the streaming scheduler, labeling ingest rows en route."""
-        plan = self.stream_plan(max_apps=max_apps, progress=progress)
-        scheduler = StreamScheduler(self.exec_config, log=self.pipeline.log)
-        scheduler.run([plan.stage])
-        result = plan.finalize(scheduler)
-        return self._finish_run(result, prepared=plan.prepared)
+    def _row_preparer(self, prepared):
+        """An ``on_merge`` hook that SDK-labels ingest rows into ``prepared``.
 
-    def stream_plan(self, max_apps=None, progress=None):
-        """Open a streaming run whose ingest rows prepare incrementally.
-
-        On top of the pipeline's own plan, an extra ordered consumer
-        SDK-labels each successful outcome as it lands, so by
-        :meth:`InterleavedStudies.run`/:meth:`run_streaming` finalize
-        time the results-DB ingest only writes rows (cache-served apps
-        bypass the stage and are prepared inside the ingest instead).
+        With a results store attached, each successful outcome becomes
+        its ingest row as it is merged, so the results-DB ingest after
+        the run only writes rows. None without a store.
         """
-        plan = self.pipeline.stream_plan(max_apps=max_apps,
-                                         progress=progress)
-        plan.prepared = {}
+        if self.results_store is None:
+            return None
         labeler = self.pipeline.labeler
 
-        def prepare(index, outcome):
+        def prepare(outcome):
             if outcome.error is None:
-                plan.prepared[outcome.package] = prepare_study_row(
+                prepared[outcome.package] = prepare_study_row(
                     outcome.analysis, labeler
                 )
-
-        plan.stage.consume_ordered(prepare)
-        return plan
+        return prepare
 
     def _finish_run(self, result, prepared=None):
         """Memoize the result and persist telemetry + queryable rows."""
@@ -202,8 +186,8 @@ class DynamicStudy:
 
     def __init__(self, seed=DEFAULT_SEED, site_count=100, total_apps=1000,
                  obs=None, max_workers=None, chunk_size=None,
-                 exec_backend=None, script_cache=None, streaming=None,
-                 telemetry=None, results_store=None, progress_hook=None):
+                 exec_backend=None, script_cache=None, telemetry=None,
+                 results_store=None, progress_hook=None):
         self.seed = seed
         self.obs = obs if obs is not None else Obs()
         self.telemetry = (telemetry if telemetry is not None
@@ -221,8 +205,7 @@ class DynamicStudy:
         self.exec_config = ExecConfig(max_workers=max_workers,
                                       chunk_size=chunk_size,
                                       backend=exec_backend,
-                                      script_cache=script_cache,
-                                      streaming=streaming)
+                                      script_cache=script_cache)
         self._classifications = None
         self._measurements = None
         self._crawl = None
@@ -313,10 +296,9 @@ class DynamicStudy:
         return AdbCrawler(apps, sites=self.sites, seed=self.seed,
                           obs=self.obs, exec_config=self.exec_config)
 
-    def stream_plan(self, apps=None, progress=None):
-        """Open a streaming crawl (see :meth:`AdbCrawler.stream_plan`)."""
-        crawler = self._make_crawler(apps)
-        return crawler.stream_plan(
+    def study_run(self, apps=None, progress=None):
+        """The crawl's :class:`~repro.exec.StudyRun` for the driver."""
+        return self._make_crawler(apps).study_run(
             progress=chain_results(progress, self.progress_hook)
         )
 
@@ -367,8 +349,8 @@ class DynamicStudy:
 class InterleavedStudies:
     """Run a static study and a dynamic crawl through ONE scheduler.
 
-    Both studies' chunks interleave round-robin in a single streaming
-    worker pool (:class:`~repro.exec.StreamScheduler`), so the crawl's
+    Both studies' chunks interleave round-robin on a single worker pool
+    (:func:`~repro.exec.run_studies`), so the crawl's
     many uniform shards fill the worker idle time behind the static
     study's straggler APKs — the mixed-workload speedup
     ``benchmarks/bench_scheduler.py`` measures. One shared schedule
@@ -391,18 +373,15 @@ class InterleavedStudies:
 
     def run(self, max_apps=None, apps=None):
         """Run both studies interleaved; returns (StudyResult, CrawlResult)."""
-        static_plan = self.static.stream_plan(max_apps=max_apps)
-        crawl_plan = self.dynamic.stream_plan(apps=apps)
-        scheduler = StreamScheduler(self.exec_config, log=self.log)
-        scheduler.run([static_plan.stage, crawl_plan.stage])
-        schedule, per_stage = scheduler.simulate(
-            [static_plan.costs(), crawl_plan.costs()]
+        prepared = {}
+        static_run = self.static.pipeline.study_run(
+            max_apps=max_apps,
+            on_merge=self.static._row_preparer(prepared),
         )
-        result = static_plan.finalize(scheduler, schedule=schedule,
-                                      assignments=per_stage[0])
-        crawl = crawl_plan.finalize(scheduler, schedule=schedule,
-                                    assignments=per_stage[1])
-        self.static._finish_run(result, prepared=static_plan.prepared)
+        crawl_run = self.dynamic.study_run(apps=apps)
+        result, crawl = run_studies([static_run, crawl_run],
+                                    self.exec_config, log=self.log)
+        self.static._finish_run(result, prepared=prepared)
         self.dynamic._finish_crawl(crawl)
         return result, crawl
 

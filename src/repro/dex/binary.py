@@ -447,6 +447,6 @@ def deserialize_dex(data):
                     source_file=strings[source_i],
                 )
             )
-    except (IndexError, struct.error) as exc:
+    except (IndexError, struct.error, UnicodeDecodeError) as exc:
         raise DexError("corrupt dex data: %s" % exc)
     return DexFile(classes)

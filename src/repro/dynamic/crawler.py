@@ -25,7 +25,6 @@ off.
 """
 
 import collections
-import contextlib
 import functools
 import time
 
@@ -35,12 +34,10 @@ from repro.dynamic.iab import IabKind
 from repro.dynamic.webview_runtime import WebViewRuntime
 from repro.exec import (
     ExecConfig,
-    StreamScheduler,
-    StreamStage,
-    WORKER_LOST_SLUG,
-    make_pool,
-    simulate_schedule,
-    stage_schedule_view,
+    ShardedStudy,
+    StudyRun,
+    TaskOutcome,
+    run_study,
 )
 from repro.exec.config import CHUNK_SIZE_ENV_VAR, _env_int
 from repro.netstack.network import Network, Request
@@ -48,21 +45,9 @@ from repro.obs import (
     CRAWL_NETLOG_EVENTS_METRIC,
     CRAWL_VISIT_ENDPOINTS_METRIC,
     CRAWL_VISITS_METRIC,
-    DROPS_METRIC,
-    EXEC_BACKEND_METRIC,
-    EXEC_CHUNK_SIZE_METRIC,
-    EXEC_CHUNKS_REPAIRED_METRIC,
-    EXEC_CRITICAL_PATH_METRIC,
-    EXEC_QUEUE_DEPTH_METRIC,
-    EXEC_STEALS_METRIC,
-    EXEC_TASKS_METRIC,
-    EXEC_TASKS_QUARANTINED_METRIC,
-    EXEC_WORKER_BUSY_METRIC,
-    EXEC_WORKERS_METRIC,
     SCRIPT_CACHE_HITS_METRIC,
     SCRIPT_CACHE_MISSES_METRIC,
     SCRIPT_CACHE_TIME_SAVED_METRIC,
-    Span,
     TickClock,
     Tracer,
     bind_context,
@@ -218,7 +203,7 @@ class _VisitRecord:
         self.netlog_event_counts = netlog_event_counts
 
 
-class ShardOutcome:
+class ShardOutcome(TaskOutcome):
     """One app shard's results, merged by the parent in selection order.
 
     ``spans`` is the shard's exported span tree (every shard traces into
@@ -229,18 +214,13 @@ class ShardOutcome:
     ``adb_commands`` is the shard's bounded ADB transcript.
     """
 
-    __slots__ = ("position", "package", "visits", "adb_commands",
-                 "script_events", "cost", "spans", "worker")
+    __slots__ = ("visits", "adb_commands", "script_events")
 
     def __init__(self, position, package):
-        self.position = position
-        self.package = package
+        super().__init__(position, package)
         self.visits = []
         self.adb_commands = []
         self.script_events = []
-        self.cost = 0.0
-        self.spans = None
-        self.worker = None
 
 
 def _visit_site(app, site, device, span, seed, adb):
@@ -331,8 +311,10 @@ def _run_crawl_shard(settings, shard):
     return outcome
 
 
-class AdbCrawler:
+class AdbCrawler(ShardedStudy):
     """Crawls the top sites through each app's IAB, sharded per app."""
+
+    stage = "crawl"
 
     def __init__(self, apps, sites=None, seed=0, include_baseline=True,
                  obs=None, exec_config=None,
@@ -350,11 +332,6 @@ class AdbCrawler:
             ))
         self.exec_config = exec_config
         self.log = get_logger("dynamic.crawler")
-        self._execute_span = None
-        #: Streaming runs replay shard spans before the deterministic
-        #: schedule exists; the replayed roots park here (by shard
-        #: position) until :meth:`_assign_workers` stamps them.
-        self._replayed_roots = {}
         self._visits = self.obs.counter(
             CRAWL_VISITS_METRIC, "Completed (app, site) crawl visits.",
             ("app",),
@@ -374,72 +351,38 @@ class AdbCrawler:
         """Run the full crawl; returns a :class:`CrawlResult`.
 
         ``progress``, when given, is called with each app's
-        :class:`ShardOutcome` in completion order (the pool's
-        ``on_result`` hook); results are still merged in selection order.
+        :class:`ShardOutcome` in completion order; results are still
+        merged in selection order.
         """
-        if self.exec_config.streaming:
-            return self.crawl_streaming(progress)
-        with self.obs.activate(), bind_context(stage="crawl"), \
-                self.obs.span("crawl", apps=len(self.apps),
-                              sites=len(self.sites)):
-            return self._crawl(progress)
+        return run_study(self.study_run(progress))
 
-    def crawl_streaming(self, progress=None):
-        """Run the crawl on the streaming scheduler (same result bytes).
+    def study_run(self, progress=None):
+        """This crawl as a :class:`~repro.exec.StudyRun` for the driver."""
+        return StudyRun(self, hooks=(progress,))
 
-        Visits merge into the :class:`CrawlResult` as shards land
-        instead of waiting for the pool barrier; see
-        :mod:`repro.exec.stream` and DESIGN.md §Streaming scheduler.
+    # -- kernel hooks --------------------------------------------------------
+
+    def root_span(self):
+        return "crawl", {"apps": len(self.apps), "sites": len(self.sites)}
+
+    def prepare(self):
+        """One shard per app, the baseline shell last.
+
+        The baseline is crawled once, as one ordinary shard; differencing
+        happens in :class:`CrawlResult`, so no shard needs its results in
+        flight.
         """
-        plan = self.stream_plan(progress=progress)
-        scheduler = StreamScheduler(self.exec_config, log=self.log)
-        scheduler.run([plan.stage])
-        return plan.finalize(scheduler)
-
-    def stream_plan(self, progress=None):
-        """Open a streaming crawl and return its :class:`CrawlStreamPlan`.
-
-        The plan holds the ``crawl``/``execute`` spans open on this
-        crawler's own tracer (no ambient contextvar, so the plan can
-        share a :class:`~repro.exec.StreamScheduler` with other
-        studies' stages), exposes ``stage`` for the scheduler, and
-        ``finalize(scheduler)`` closes the run.
-        """
-        return CrawlStreamPlan(self, progress=progress)
-
-    def _shard_list(self):
-        """The crawl's (apps, shards): one shard per app, baseline last."""
-        apps = list(self.apps)
+        self._run_apps = list(self.apps)
         if self.include_baseline:
-            # The baseline shell is crawled once, as one ordinary shard;
-            # differencing happens in CrawlResult, so no shard needs its
-            # results in flight.
-            apps.append(SYSTEM_WEBVIEW_SHELL)
+            self._run_apps.append(SYSTEM_WEBVIEW_SHELL)
+        self._run_visits = []
+        self._baseline_visits = []
+        self._script_events = []
         shards = [CrawlShard(position, app)
-                  for position, app in enumerate(apps)]
-        return apps, shards
+                  for position, app in enumerate(self._run_apps)]
+        return [None] * len(shards), shards
 
-    def _crawl(self, progress):
-        apps, shards = self._shard_list()
-        outcomes = self._run_shards(shards, progress)
-        schedule = simulate_schedule([o.cost for o in outcomes],
-                                     self.exec_config.max_workers,
-                                     self.exec_config.chunk_size)
-        for outcome, worker in zip(outcomes, schedule.assignments):
-            outcome.worker = worker
-        self._record_exec_metrics(outcomes, schedule)
-
-        visits = []
-        baseline_visits = []
-        for app, outcome in zip(apps, outcomes):
-            self._merge_shard(app, outcome, visits, baseline_visits)
-        self._record_script_metrics(outcomes)
-        self.log.info("crawl_complete", visits=len(visits),
-                      baseline_visits=len(baseline_visits),
-                      workers=self.exec_config.max_workers)
-        return CrawlResult(visits, baseline_visits)
-
-    def _shard_fn(self):
+    def task_fn(self, inline):
         """The per-shard callable (identical for both backends)."""
         settings = _ShardSettings(
             self.sites, self.seed,
@@ -449,195 +392,56 @@ class AdbCrawler:
         )
         return functools.partial(_run_crawl_shard, settings)
 
-    def _run_shards(self, shards, progress):
-        """Map the per-app shards over the configured pool, in order."""
-        pool = make_pool(self.exec_config, log=self.log)
-        fn = self._shard_fn()
-        with self.obs.span("execute", backend=pool.name,
-                           workers=self.exec_config.max_workers,
-                           shards=len(shards)) as execute_span:
-            # Remembered so shard spans replay under this span during
-            # the merge (it is closed by then) — same tree shape as the
-            # static pipeline's execute/analyze_app nesting.
-            self._execute_span = execute_span
-            if hasattr(progress, "begin"):
-                progress.begin(len(shards))
-            outcomes = pool.map(shards, fn, on_result=progress)
-        if pool.repaired_chunks:
-            self.obs.counter(
-                EXEC_CHUNKS_REPAIRED_METRIC,
-                "Chunks re-run after losing their worker mid-flight.",
-            ).inc(pool.repaired_chunks)
-        return outcomes
+    def lost(self, shard):
+        """A lost shard has no visits: the app is simply absent."""
+        return ShardOutcome(shard.position, shard.app.package)
 
-    def _merge_shard(self, app, outcome, visits, baseline_visits):
+    def merge(self, outcome):
         """Fold one shard into the crawl (selection order).
 
         Rebuilds each SiteVisit against the parent's own app and site
         objects (so baseline identity and ``visits_for`` behave exactly
-        as in a serial crawl), replays the shard's span tree into the
-        study tracer, extends the bounded ADB transcript, and replays the
-        per-visit metrics.
+        as in a serial crawl), extends the bounded ADB transcript,
+        replays the per-visit metrics, and queues the shard's script
+        events for :meth:`finish`.
         """
-        with bind_context(package=app.package):
-            self._replay_shard_spans(outcome)
+        app = self._run_apps[outcome.position]
         self.adb_commands.extend(outcome.adb_commands)
         for site, record in zip(self.sites, outcome.visits):
             visit = SiteVisit(app, site, record.endpoints)
             if app is SYSTEM_WEBVIEW_SHELL:
-                baseline_visits.append(visit)
+                self._baseline_visits.append(visit)
             else:
-                visits.append(visit)
+                self._run_visits.append(visit)
             self._visits.labels(app=app.name).inc()
             for event_type, count in record.netlog_event_counts:
                 self._netlog_events.labels(event_type=event_type).inc(count)
             self._endpoints.observe(len(record.endpoints))
             self.log.debug("visit_complete", app=app.name, site=site.host,
                            endpoints=len(record.endpoints))
+        self._script_events.extend(outcome.script_events)
 
-    def _replay_shard_spans(self, outcome):
-        """Attach a shard's exported span tree to the study tracer."""
-        tracer = self.obs.tracer
-        for data in outcome.spans:
-            root = Span.from_dict(data)
-            if outcome.worker is not None:
-                root.set_attribute("worker", "w%d" % outcome.worker)
-            else:
-                # Streaming runs merge before the deterministic schedule
-                # exists; park the root until finalize stamps worker
-                # attribution post-hoc.
-                self._replayed_roots.setdefault(outcome.position,
-                                                []).append(root)
-            parent = self._execute_span or tracer.current()
-            if parent is not None:
-                parent.children.append(root)
-            else:
-                tracer.roots.append(root)
-            if tracer.on_span_end is not None:
-                for span in root.iter_spans():
-                    tracer.on_span_end(span)
+    def finish(self, span):
+        """Script-cache counters, then the :class:`CrawlResult`.
 
-    # -- streaming execution ---------------------------------------------------
-
-    def _stage_context(self):
-        """Per-event ambient context for streamed deliveries.
-
-        The streaming scheduler interleaves several studies' events, so
-        the crawler may not hold its tracer/log context across the run;
-        this context manager is entered around every shard execution
-        and delivery instead.
-        """
-        @contextlib.contextmanager
-        def enter():
-            with self.obs.activate(), bind_context(stage="crawl"):
-                yield
-        return enter
-
-    def _lost_shard(self, shard):
-        """Quarantine outcome for a shard whose workers kept dying.
-
-        The app simply has no visits in the :class:`CrawlResult` — the
-        same shape a crawl that never selected the app would produce —
-        and the loss is accounted in the drop taxonomy.
-        """
-        self.obs.counter(
-            DROPS_METRIC,
-            "Apps dropped before successful analysis, by reason.",
-            ("reason",),
-        ).labels(reason=WORKER_LOST_SLUG).inc()
-        self.log.warning("shard_lost", app=shard.app.package,
-                         attempts=self.exec_config.max_attempts)
-        outcome = ShardOutcome(shard.position, shard.app.package)
-        outcome.spans = []
-        return outcome
-
-    def _assign_workers(self, executed, workers):
-        """Stamp deterministic worker attribution onto streamed shards."""
-        for outcome, worker in zip(executed, workers):
-            outcome.worker = worker
-            for root in self._replayed_roots.pop(outcome.position, ()):
-                root.set_attribute("worker", "w%d" % worker)
-
-    def _record_stream_metrics(self, scheduler, schedule):
-        """Scheduler health counters for the run report.
-
-        Steals come from the deterministic schedule replay; repair and
-        quarantine counts are what the live repair pass actually did
-        (nonzero only under worker faults).
-        """
-        self.obs.counter(
-            EXEC_STEALS_METRIC,
-            "Work-steal events in the simulated streamed schedule.",
-        ).inc(schedule.steals)
-        self.obs.counter(
-            EXEC_CHUNKS_REPAIRED_METRIC,
-            "Chunks re-run after losing their worker mid-flight.",
-        ).inc(scheduler.repaired_chunks)
-        self.obs.counter(
-            EXEC_TASKS_QUARANTINED_METRIC,
-            "Tasks dropped as worker_lost after the retry budget.",
-        ).inc(scheduler.quarantined_tasks)
-
-    def _record_exec_metrics(self, outcomes, schedule):
-        """Deterministic execution metrics for the run report."""
-        config = self.exec_config
-        self.obs.gauge(
-            EXEC_WORKERS_METRIC, "Configured worker count.",
-        ).set(config.max_workers)
-        self.obs.gauge(
-            EXEC_CHUNK_SIZE_METRIC, "Tasks per worker dispatch.",
-        ).set(config.chunk_size)
-        self.obs.gauge(
-            EXEC_BACKEND_METRIC, "Resolved execution backend (info).",
-            ("backend",),
-        ).labels(backend=config.resolved_backend).set(1)
-        shard_count = len(outcomes)
-        chunks = -(-shard_count // config.chunk_size) if shard_count else 0
-        self.obs.gauge(
-            EXEC_QUEUE_DEPTH_METRIC,
-            "High-water mark of chunks in the bounded work queue.",
-        ).set(min(config.window, chunks))
-        tasks = self.obs.counter(
-            EXEC_TASKS_METRIC, "Per-app tasks, by outcome.", ("status",),
-        )
-        for _ in outcomes:
-            tasks.labels(status="ok").inc()
-        busy = self.obs.counter(
-            EXEC_WORKER_BUSY_METRIC,
-            "Clock units each worker spent analyzing apps.",
-            ("worker",),
-        )
-        for worker, amount in enumerate(schedule.worker_busy):
-            if amount:
-                busy.labels(worker="w%d" % worker).inc(amount)
-        self.obs.gauge(
-            EXEC_CRITICAL_PATH_METRIC,
-            "Makespan of the (simulated greedy) worker schedule.",
-        ).set(schedule.critical_path)
-
-    def _record_script_metrics(self, outcomes):
-        """Deterministic script-cache accounting by selection-order replay.
-
-        Worker-local hit counts depend on chunk scheduling and on cache
-        warmth, so they never feed metrics. Instead every shard records
-        its ordered ``(digest, parse cost)`` stream — whether the cache
-        was enabled or not — and the parent replays the streams in
-        selection order: the first occurrence of a digest is the miss
-        that pays its parse cost, every later occurrence is a hit that
-        saves it. Byte-identical at any worker count, backend, and cache
-        setting.
+        Worker-local script-cache hit counts depend on chunk scheduling
+        and on cache warmth, so they never feed metrics. Instead the
+        shards' ``(digest, parse cost)`` streams — recorded whether the
+        cache was enabled or not — are replayed in selection order: the
+        first occurrence of a digest is the miss that pays its parse
+        cost, every later occurrence is a hit that saves it.
+        Byte-identical at any worker count, backend, and cache setting.
         """
         seen = {}
         hits = misses = 0
         saved = 0.0
-        for outcome in outcomes:
-            for digest, cost in outcome.script_events:
-                if digest in seen:
-                    hits += 1
-                    saved += seen[digest]
-                else:
-                    seen[digest] = cost
-                    misses += 1
+        for digest, cost in self._script_events:
+            if digest in seen:
+                hits += 1
+                saved += seen[digest]
+            else:
+                seen[digest] = cost
+                misses += 1
         self.obs.counter(
             SCRIPT_CACHE_HITS_METRIC,
             "Script parses served from the compiled-script cache.",
@@ -650,86 +454,7 @@ class AdbCrawler:
             SCRIPT_CACHE_TIME_SAVED_METRIC,
             "Estimated clock units saved by compiled-script reuse.",
         ).inc(saved)
-
-
-class CrawlStreamPlan:
-    """One crawl's opened streaming run.
-
-    Created by :meth:`AdbCrawler.stream_plan`. The per-app shards wait
-    in ``stage`` for a :class:`~repro.exec.StreamScheduler` (shared with
-    other studies' stages when interleaving); visits, spans, transcripts
-    and per-visit metrics merge incrementally in exact shard order as
-    outcomes stream in, so the :class:`CrawlResult` is byte-identical to
-    the barrier path. The ``crawl``/``execute`` spans are held open on
-    the crawler's own tracer (never via an ambient contextvar) and
-    closed by :meth:`finalize`.
-    """
-
-    def __init__(self, crawler, progress=None):
-        self.crawler = crawler
-        self.visits = []
-        self.baseline_visits = []
-        #: Shard outcomes in shard order (quarantined ones included).
-        self.executed = []
-        self._ctx = crawler._stage_context()
-        crawler._replayed_roots.clear()
-        with self._ctx():
-            self._crawl_cm = crawler.obs.span(
-                "crawl", apps=len(crawler.apps), sites=len(crawler.sites)
-            )
-            self.crawl_span = self._crawl_cm.__enter__()
-            self.apps, shards = crawler._shard_list()
-            self.stage = StreamStage(
-                "crawl", shards, crawler._shard_fn(),
-                on_lost=crawler._lost_shard,
-                chunk_size=crawler.exec_config.chunk_size,
-                context=self._ctx,
-            )
-            # Shards are delivered in shard order already (the stage's
-            # prefix-flush buffer holds out-of-order completions), so the
-            # merge consumes the stream directly — no short-circuited
-            # positions to interleave, unlike the static pipeline.
-            self.stage.consume_ordered(self._on_ordered)
-            self.stage.consume(progress)
-            self._execute_cm = crawler.obs.span(
-                "execute", backend=crawler.exec_config.resolved_backend,
-                workers=crawler.exec_config.max_workers, shards=len(shards),
-            )
-            self.execute_span = self._execute_cm.__enter__()
-            crawler._execute_span = self.execute_span
-            if hasattr(progress, "begin"):
-                progress.begin(len(shards))
-
-    def _on_ordered(self, index, outcome):
-        self.executed.append(outcome)
-        self.crawler._merge_shard(self.apps[index], outcome,
-                                  self.visits, self.baseline_visits)
-
-    def costs(self):
-        """Measured per-shard costs, in shard order (the simulate input)."""
-        return [outcome.cost for outcome in self.executed]
-
-    def finalize(self, scheduler, schedule=None, assignments=None):
-        """Close the run: schedule replay, metrics, spans. Returns result.
-
-        ``schedule``/``assignments`` come from the caller for
-        interleaved runs (one shared simulation across stages); left at
-        None, the plan simulates its own single-stage schedule.
-        """
-        crawler = self.crawler
-        with self._ctx():
-            self._execute_cm.__exit__(None, None, None)
-            if schedule is None:
-                schedule, per_stage = scheduler.simulate([self.costs()])
-                assignments = per_stage[0]
-            crawler._assign_workers(self.executed, assignments)
-            view = stage_schedule_view(crawler.exec_config, assignments,
-                                       self.costs(), schedule)
-            crawler._record_exec_metrics(self.executed, view)
-            crawler._record_stream_metrics(scheduler, schedule)
-            crawler._record_script_metrics(self.executed)
-            crawler.log.info("crawl_complete", visits=len(self.visits),
-                             baseline_visits=len(self.baseline_visits),
-                             workers=crawler.exec_config.max_workers)
-            self._crawl_cm.__exit__(None, None, None)
-        return CrawlResult(self.visits, self.baseline_visits)
+        self.log.info("crawl_complete", visits=len(self._run_visits),
+                      baseline_visits=len(self._baseline_visits),
+                      workers=self.exec_config.max_workers)
+        return CrawlResult(self._run_visits, self._baseline_visits)

@@ -25,7 +25,6 @@ from repro.endpoints.census import (
     EndpointCensus,
     EndpointRecord,
     EndpointResult,
-    EndpointStreamPlan,
     analyze_endpoint_bytes,
     endpoint_fingerprint,
     lazy_sha256,
@@ -50,7 +49,6 @@ __all__ = [
     "EndpointCensus",
     "EndpointRecord",
     "EndpointResult",
-    "EndpointStreamPlan",
     "SdkValidation",
     "URL_SCHEMES",
     "ValidationResult",

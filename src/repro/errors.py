@@ -111,8 +111,8 @@ class CorpusError(ReproError):
 class WorkerLostError(ReproError):
     """Raised when a shard's worker died and the retry budget ran out.
 
-    The streaming scheduler (:mod:`repro.exec.stream`) re-queues chunks
-    lost to worker death; a task still failing after
+    The process pool (:mod:`repro.exec.pool`) re-queues chunks lost to
+    worker death; a task still failing after
     ``ExecConfig.max_attempts`` is quarantined with this error so the
     study finishes with a ``worker_lost`` drop-taxonomy entry instead of
     aborting.

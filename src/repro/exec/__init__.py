@@ -1,18 +1,33 @@
-"""repro.exec — parallel execution for the corpus-level studies.
+"""repro.exec — the execution kernel for the corpus-level studies.
 
 The paper's static pipeline covers ~146.5K APKs; at that scale per-app
 analysis must be batched across workers (the same move DroidMeter and
-Rapoport et al. made). This package provides the pieces the pipelines
-shard themselves with:
+Rapoport et al. made). Every study — the static pipeline, the IAB
+crawl, the impact and endpoint censuses — runs its per-app work through
+one kernel, and there is one scheduler:
 
 - **configuration** (:mod:`repro.exec.config`): :class:`ExecConfig` reads
   ``REPRO_MAX_WORKERS`` / ``REPRO_CHUNK_SIZE`` / ``REPRO_EXEC_BACKEND``
-  and resolves the backend (``process`` when more than one worker is
-  requested, ``inline`` otherwise).
-- **worker pools** (:mod:`repro.exec.pool`): a process-backed pool with a
-  bounded in-flight chunk window, plus an in-process deterministic
-  fallback used for single-worker runs, for tests, and wherever process
-  pools are unavailable. Both return results in input order.
+  / ``REPRO_EXEC_WINDOW`` / ``REPRO_EXEC_RETRIES`` and resolves the
+  backend (``process`` when more than one worker is requested,
+  ``inline`` otherwise).
+- **study driver** (:mod:`repro.exec.driver`): a study subclasses
+  :class:`ShardedStudy` and supplies its prepare, task, lost-task and
+  merge hooks; :class:`StudyRun` opens its spans, wires the ordered
+  merge and the checkpoint/progress hooks, stamps worker attribution
+  and records the exec, fact-cache and eviction metrics once for all
+  studies. :func:`run_studies` interleaves several studies on one pool.
+- **scheduler** (:mod:`repro.exec.stream`): stages declare their
+  downstream consumers and results flow as they complete, with
+  round-robin chunk interleaving across stages and a prefix-flush
+  buffer for task-order consumers.
+- **worker pools** (:mod:`repro.exec.pool`): the scheduler's backends,
+  resolved in one place by :func:`make_pool`. :class:`InlinePool` runs
+  chunks in-process; :class:`ProcessPool` runs them on worker processes
+  with a bounded in-flight window, cancel-and-split work stealing for
+  straggler tails, and a worker-death repair pass that bisects lost
+  chunks and quarantines a repeat offender into the drop taxonomy after
+  ``REPRO_EXEC_RETRIES`` attempts.
 - **result cache** (:mod:`repro.exec.cache`): :class:`AnalysisCache`, a
   two-tier LRU-bounded store — SHA-256-keyed per-APK outcomes on top of a
   corpus-wide content-addressed :class:`ClassFactsCache`, so repeated
@@ -20,25 +35,15 @@ shard themselves with:
   once per corpus (``REPRO_CACHE_MAX_ENTRIES`` bounds both tiers,
   ``REPRO_CACHE_DIR`` adds an on-disk class-facts layer,
   ``REPRO_CLASS_CACHE=0`` disables class-level memoization).
-- **schedule accounting** (:mod:`repro.exec.schedule`): deterministic
-  simulations over measured task costs — a greedy earliest-free-worker
-  replay for the barrier pools and an event-driven streaming replay
-  (ready times, work steals) for the streaming scheduler; the run
-  report's parallel-speedup figure (work / critical path) comes from
-  them, independent of real scheduling jitter.
-- **streaming scheduler** (:mod:`repro.exec.stream`): stages declare
-  their downstream consumers and results flow as they complete, with
-  round-robin chunk interleaving across stages, cancel-and-split work
-  stealing for straggler tails, and a worker-death repair pass that
-  bisects lost chunks and quarantines a repeat offender into the drop
-  taxonomy after ``REPRO_EXEC_RETRIES`` attempts. Enabled per study via
-  ``REPRO_EXEC_STREAMING`` or ``ExecConfig(streaming=True)``.
+- **schedule accounting** (:mod:`repro.exec.schedule`): a deterministic
+  replay of the scheduler's policy over measured task costs; the run
+  report's parallel-speedup figure (work / critical path) is modeled
+  from it, independent of real scheduling jitter.
 
-Determinism contract: results are aggregated in submission order and the
-per-task work is a pure function of the APK bytes, so a same-seed study
-produces byte-identical tables for any worker count or backend — with
-the streaming scheduler included, whose ordered consumers see exact
-task order via a prefix-flush buffer however chunks complete.
+Determinism contract: ordered consumers see exact task order however
+chunks complete, and the per-task work is a pure function of its
+inputs, so a same-seed study produces byte-identical tables for any
+worker count or backend.
 """
 
 from repro.exec.cache import (
@@ -65,10 +70,18 @@ from repro.exec.config import (
     MAX_WORKERS_ENV_VAR,
     RETRIES_ENV_VAR,
     SCRIPT_CACHE_ENV_VAR,
-    STREAMING_ENV_VAR,
     WINDOW_ENV_VAR,
 )
+from repro.exec.driver import (
+    ShardedStudy,
+    StudyRun,
+    TaskOutcome,
+    lost_message,
+    run_studies,
+    run_study,
+)
 from repro.exec.pool import (
+    Chunk,
     InlinePool,
     ProcessPool,
     WorkerPool,
@@ -76,19 +89,12 @@ from repro.exec.pool import (
     make_pool,
     process_backend_available,
 )
-from repro.exec.schedule import (
-    Schedule,
-    StreamSchedule,
-    simulate_schedule,
-    simulate_stream,
-    simulate_stream_chunks,
-)
+from repro.exec.schedule import Schedule, simulate_stream_chunks
 from repro.exec.stream import (
     OrderedFlush,
     StreamScheduler,
     StreamStage,
     WORKER_LOST_SLUG,
-    stage_schedule_view,
 )
 
 __all__ = [
@@ -101,6 +107,7 @@ __all__ = [
     "CHUNK_SIZE_ENV_VAR",
     "CLASS_CACHE_ENV_VAR",
     "CLASS_FACTS_KIND",
+    "Chunk",
     "ClassFactsCache",
     "DEFAULT_MAX_ATTEMPTS",
     "ENDPOINT_CACHE_ENV_VAR",
@@ -115,20 +122,21 @@ __all__ = [
     "ProcessPool",
     "RETRIES_ENV_VAR",
     "SCRIPT_CACHE_ENV_VAR",
-    "STREAMING_ENV_VAR",
     "Schedule",
-    "StreamSchedule",
+    "ShardedStudy",
     "StreamScheduler",
     "StreamStage",
+    "StudyRun",
+    "TaskOutcome",
     "WINDOW_ENV_VAR",
     "WORKER_LOST_SLUG",
     "WorkerPool",
     "chain_results",
     "env_max_entries",
+    "lost_message",
     "make_pool",
     "process_backend_available",
-    "simulate_schedule",
-    "simulate_stream",
+    "run_studies",
+    "run_study",
     "simulate_stream_chunks",
-    "stage_schedule_view",
 ]

@@ -1,69 +1,43 @@
-"""Streaming DAG scheduler: stages flow into consumers as results land.
+"""Stream scheduler: stages flow into consumers as results land.
 
-The barrier pools (:mod:`repro.exec.pool`) hold every downstream step —
-labeling, aggregation, checkpointing, results-DB ingest — hostage to the
-slowest chunk of a study. This module replaces the barrier with a
-streaming scheduler:
+Every study runs its per-app work through this scheduler; there is no
+other execution path.
 
 - A :class:`StreamStage` is one producer: a list of tasks plus the
   function that executes them. Its declared consumers are the
   downstream DAG nodes — *ordered* consumers see ``(index, outcome)``
   pairs in exact task order (via a prefix-flush buffer, preserving the
   selection-order aggregation the byte-identity contract depends on),
-  plain consumers see outcomes in completion order (the pools'
-  ``on_result`` semantics: checkpoints and progress reporters).
+  plain consumers see outcomes in completion order (checkpoints and
+  progress reporters).
 - :class:`StreamScheduler` drains any number of stages through one
   shared worker pool, round-robin interleaving their chunks so a mixed
   static+dynamic workload keeps every worker busy while one study's
-  straggler runs.
-- **Work stealing**: when the submit queue runs dry and workers idle,
-  the largest still-queued multi-task chunk is cancelled, split in
-  half, and re-dispatched — the tail of a run parallelizes instead of
-  serializing behind one straggler chunk.
-- **Failure repair**: a dead worker (``BrokenProcessPool``) loses its
-  in-flight chunks; the scheduler rebuilds the executor and re-queues
-  each lost chunk, bisecting multi-task chunks so a poisoned task is
-  isolated in ``log2(chunk)`` retries. A single task that keeps killing
-  its worker is quarantined after ``ExecConfig.max_attempts`` failures:
-  the stage's ``on_lost`` hook builds a synthetic outcome (pipelines
-  map it to the ``worker_lost`` drop-taxonomy slug) and the study
-  finishes instead of aborting.
+  straggler runs. The pool (:mod:`repro.exec.pool`, resolved by
+  :func:`~repro.exec.pool.make_pool`) executes the chunks and does the
+  work stealing and worker-death repair; a task it quarantines after
+  repeated worker death is handed to the stage's ``on_lost`` hook, which
+  builds a synthetic outcome (the studies map it to the ``worker_lost``
+  drop-taxonomy slug) so the study finishes instead of aborting.
 
 Determinism: per-stage results are delivered to ordered consumers in
 task order no matter how chunks complete, steal, or repair, so study
-results stay byte-identical to the barrier backend at any worker count.
-Execution *metrics* never come from live scheduling — they are replayed
-from :func:`repro.exec.schedule.simulate_stream_chunks` over measured
-task costs (see :meth:`StreamScheduler.simulate`), so steal counts,
-worker attribution and critical paths are pure functions of the costs.
+results are byte-identical at any worker count and backend. Execution
+*metrics* never come from live scheduling — they are replayed from
+:func:`repro.exec.schedule.simulate_stream_chunks` over measured task
+costs (see :meth:`StreamScheduler.simulate`), so steal counts, worker
+attribution and critical paths are pure functions of the costs.
 """
 
-import concurrent.futures
 import contextlib
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import WorkerLostError, error_slug
-from repro.exec.config import BACKEND_PROCESS
-from repro.exec.pool import _pool_context, process_backend_available
-from repro.exec.schedule import StreamSchedule, simulate_stream_chunks
+from repro.exec.config import BACKEND_INLINE
+from repro.exec.pool import Chunk, make_pool
+from repro.exec.schedule import simulate_stream_chunks
 
 #: Drop-taxonomy slug quarantined tasks surface under.
 WORKER_LOST_SLUG = error_slug(WorkerLostError)
-
-
-def stage_schedule_view(config, assignments, costs, schedule):
-    """A per-stage Schedule view over a (possibly shared) streamed schedule.
-
-    Interleaved studies share one simulated schedule; each study's run
-    report should still attribute only its *own* worker-busy time, while
-    the makespan and steal count are genuinely shared figures.
-    """
-    busy = [0.0] * config.max_workers
-    for worker, cost in zip(assignments, costs):
-        busy[worker] += cost
-    return StreamSchedule(config.max_workers, config.chunk_size,
-                          assignments, busy, schedule.makespan,
-                          schedule.steals, [])
 
 
 class OrderedFlush:
@@ -135,37 +109,26 @@ class StreamStage:
             return contextlib.nullcontext()
         return self.context()
 
+    def _inline_fn(self):
+        """``fn`` run inside this stage's context, for the inline pool."""
+        if self.context is None:
+            return self.fn
 
-def _run_stream_chunk(fn, tasks):
-    """Process-pool entry point: run one chunk of one stage's tasks."""
-    return [fn(task) for task in tasks]
-
-
-class _Chunk:
-    """A dispatchable slice of one stage's tasks, with repair history."""
-
-    __slots__ = ("stage", "indices", "attempts")
-
-    def __init__(self, stage, indices, attempts=0):
-        self.stage = stage
-        self.indices = indices
-        self.attempts = attempts
-
-    def split(self):
-        mid = len(self.indices) // 2
-        return (
-            _Chunk(self.stage, self.indices[:mid], self.attempts),
-            _Chunk(self.stage, self.indices[mid:], self.attempts),
-        )
+        def run(task):
+            with self.context():
+                return self.fn(task)
+        return run
 
 
 class _StageState:
     """Per-stage delivery bookkeeping inside one scheduler run."""
 
-    __slots__ = ("stage", "results", "flush")
+    __slots__ = ("stage", "offset", "results", "flush")
 
-    def __init__(self, stage):
+    def __init__(self, stage, offset):
         self.stage = stage
+        #: Position of the stage's first task in the run's item list.
+        self.offset = offset
         self.results = [None] * len(stage.tasks)
         self.flush = OrderedFlush(self._flush_ordered)
 
@@ -180,22 +143,29 @@ class StreamScheduler:
 
     ``config`` is an :class:`~repro.exec.ExecConfig`; its worker count,
     window, backend and ``max_attempts`` govern the whole run, while
-    each stage may pin its own chunk size. After :meth:`run`,
-    ``chunk_plan`` records the initial dispatch order (the input to
-    :meth:`simulate`), and ``repaired_chunks`` / ``quarantined_tasks`` /
-    ``steal_attempts`` count what the repair and steal machinery
-    actually did (fault- and timing-dependent, so they feed run-report
-    counters but never the deterministic schedule metrics).
+    each stage may pin its own chunk size. ``pool`` is the backend
+    :func:`~repro.exec.pool.make_pool` resolved for the config — studies
+    read ``pool.name`` to pick their task function before :meth:`run`.
+    After :meth:`run`, ``chunk_plan`` records the initial dispatch order
+    (the input to :meth:`simulate`), and ``repaired_chunks`` /
+    ``quarantined_tasks`` report what the pool's repair machinery
+    actually did.
     """
 
     def __init__(self, config, log=None):
         self.config = config
         self.log = log
+        self.pool = make_pool(config, log=log)
         #: Initial dispatch order: (stage index, task indices) pairs.
         self.chunk_plan = []
-        self.repaired_chunks = 0
-        self.quarantined_tasks = 0
-        self.steal_attempts = 0
+
+    @property
+    def repaired_chunks(self):
+        return self.pool.repaired_chunks
+
+    @property
+    def quarantined_tasks(self):
+        return self.pool.quarantined_tasks
 
     # -- public API ----------------------------------------------------------
 
@@ -206,20 +176,24 @@ class StreamScheduler:
         ``stages[i]``'s outcomes in task order.
         """
         stages = list(stages)
-        states = [_StageState(stage) for stage in stages]
-        queue = self._build_queue(stages)
-        self.chunk_plan = [(chunk.stage, list(chunk.indices))
-                           for chunk in queue]
-        backend = self.config.resolved_backend
-        if backend == BACKEND_PROCESS and not process_backend_available():
-            if self.log is not None:
-                self.log.warning("process_backend_unavailable",
-                                 fallback="inline")
-            backend = None
-        if backend == BACKEND_PROCESS:
-            self._run_process(stages, states, queue)
-        else:
-            self._run_inline(stages, states, queue)
+        states = []
+        items = []
+        for stage in stages:
+            states.append(_StageState(stage, len(items)))
+            items.extend(stage.tasks)
+        queue = self._build_queue(states)
+        self.chunk_plan = [
+            (chunk.stage,
+             [index - states[chunk.stage].offset for index in chunk.indices])
+            for chunk in queue
+        ]
+        inline = self.pool.name == BACKEND_INLINE
+        fns = [stage._inline_fn() if inline else stage.fn for stage in stages]
+
+        def deliver(chunk, outcomes):
+            self._deliver(states[chunk.stage], chunk, outcomes)
+
+        self.pool.map(items, fns, queue, deliver)
         for state in states:
             missing = [i for i, out in enumerate(state.results) if out is None]
             if missing:
@@ -234,12 +208,12 @@ class StreamScheduler:
 
         ``stage_costs`` is one cost list per stage (task order). Returns
         ``(schedule, assignments)`` where ``schedule`` is the
-        :class:`~repro.exec.schedule.StreamSchedule` of the initial
-        chunk plan and ``assignments`` maps each stage index to its
-        per-task worker list — what the pipelines stamp onto outcomes
-        and replayed spans. A pure function of the costs and plan, so
-        exec metrics stay byte-identical between identical runs however
-        the live pool interleaved, stole, or repaired.
+        :class:`~repro.exec.schedule.Schedule` of the initial chunk plan
+        and ``assignments`` maps each stage index to its per-task worker
+        list — what the driver stamps onto outcomes and replayed spans.
+        A pure function of the costs and plan, so exec metrics stay
+        byte-identical between identical runs however the live pool
+        interleaved, stole, or repaired.
         """
         chunks = [[stage_costs[stage][i] for i in indices]
                   for stage, indices in self.chunk_plan]
@@ -258,16 +232,17 @@ class StreamScheduler:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _build_queue(self, stages):
+    def _build_queue(self, states):
         """Round-robin interleave every stage's chunks into one queue."""
         per_stage = []
-        for position, stage in enumerate(stages):
-            size = stage.chunk_size or self.config.chunk_size
+        for position, state in enumerate(states):
+            size = state.stage.chunk_size or self.config.chunk_size
+            count = len(state.stage.tasks)
             per_stage.append([
-                _Chunk(position, list(range(start,
-                                            min(start + size,
-                                                len(stage.tasks)))))
-                for start in range(0, len(stage.tasks), size)
+                Chunk(position, list(range(state.offset + start,
+                                           state.offset
+                                           + min(start + size, count))))
+                for start in range(0, count, size)
             ])
         queue = []
         for round_index in range(max((len(c) for c in per_stage), default=0)):
@@ -276,10 +251,12 @@ class StreamScheduler:
                     queue.append(chunks[round_index])
         return queue
 
-    def _deliver(self, stages, states, chunk, outcomes):
-        stage = stages[chunk.stage]
-        state = states[chunk.stage]
-        for index, outcome in zip(chunk.indices, outcomes):
+    def _deliver(self, state, chunk, outcomes):
+        stage = state.stage
+        indices = [index - state.offset for index in chunk.indices]
+        if outcomes is None:
+            outcomes = [self._quarantine(stage, indices[0], chunk.attempts)]
+        for index, outcome in zip(indices, outcomes):
             state.results[index] = outcome
             if stage._sinks:
                 with stage._enter():
@@ -287,156 +264,15 @@ class StreamScheduler:
                         sink(outcome)
             state.flush.push(index, outcome)
 
-    def _run_inline(self, stages, states, queue):
-        for chunk in queue:
-            stage = stages[chunk.stage]
-            outcomes = []
-            for index in chunk.indices:
-                with stage._enter():
-                    outcomes.append(stage.fn(stage.tasks[index]))
-            self._deliver(stages, states, chunk, outcomes)
-
-    def _run_process(self, stages, states, queue):
-        queue = list(queue)
-        #: Chunks lost to a pool break, awaiting the isolation repair
-        #: pass. A break implicates every in-flight chunk collectively,
-        #: so blame can only be assigned by re-running suspects one at a
-        #: time: the chunk present when the pool breaks *again* is the
-        #: guilty one; everything else succeeds and is delivered.
-        suspects = []
-        executor = self._new_executor()
-        pending = {}
-        try:
-            while queue or pending or suspects:
-                if suspects:
-                    executor = self._isolate(stages, states, suspects,
-                                             executor)
-                    continue
-                try:
-                    while queue and len(pending) < self.config.window:
-                        # Popped only after submit succeeds: a broken
-                        # executor must leave the chunk in the queue for
-                        # the repair pass.
-                        chunk = queue[0]
-                        stage = stages[chunk.stage]
-                        tasks = [stage.tasks[i] for i in chunk.indices]
-                        future = executor.submit(_run_stream_chunk,
-                                                 stage.fn, tasks)
-                        queue.pop(0)
-                        pending[future] = chunk
-                    if not pending:
-                        continue
-                    done, _ = concurrent.futures.wait(
-                        pending,
-                        return_when=concurrent.futures.FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        chunk = pending[future]
-                        # result() before pop: a chunk whose worker died
-                        # must still be in ``pending`` when the repair
-                        # pass collects the lost chunks.
-                        outcomes = future.result()
-                        del pending[future]
-                        self._deliver(stages, states, chunk, outcomes)
-                    if not queue:
-                        self._try_steal(queue, pending)
-                except BrokenProcessPool:
-                    # Every in-flight chunk died with its worker and the
-                    # executor is unusable. Rebuild it and hand the lost
-                    # chunks to the isolation pass — without assigning
-                    # blame yet, since any one of them may be the killer.
-                    lost = list(pending.values())
-                    pending.clear()
-                    self.repaired_chunks += len(lost)
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = self._new_executor()
-                    suspects.extend(lost)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def _isolate(self, stages, states, suspects, executor):
-        """Re-run one suspect chunk with nothing else in flight.
-
-        Success clears the suspect and delivers its results; a repeat
-        break implicates exactly this chunk, which then bisects toward
-        quarantine via :meth:`_repair`. Returns the (possibly rebuilt)
-        executor.
-        """
-        chunk = suspects.pop(0)
-        stage = stages[chunk.stage]
-        tasks = [stage.tasks[i] for i in chunk.indices]
-        try:
-            outcomes = executor.submit(_run_stream_chunk,
-                                       stage.fn, tasks).result()
-        except BrokenProcessPool:
-            executor.shutdown(wait=False, cancel_futures=True)
-            self._repair(stages, states, chunk, suspects)
-            return self._new_executor()
-        self._deliver(stages, states, chunk, outcomes)
-        return executor
-
-    def _new_executor(self):
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.config.max_workers,
-            mp_context=_pool_context(),
-        )
-
-    # -- stealing and repair -------------------------------------------------
-
-    def _try_steal(self, queue, pending):
-        """Split the largest queued-but-unstarted chunk for idle workers.
-
-        Only attempted when the submit queue is dry and fewer chunks are
-        pending than there are workers — the signature of a straggling
-        tail. ``Future.cancel`` succeeds only for futures the executor
-        has not started, so a running chunk is never disturbed; the
-        reclaimed tasks go back to the front of the queue as two halves
-        and the next submit loop fans them out.
-        """
-        if len(pending) >= self.config.max_workers:
-            return
-        candidates = sorted(
-            (future for future, chunk in pending.items()
-             if len(chunk.indices) > 1),
-            key=lambda future: -len(pending[future].indices),
-        )
-        for future in candidates:
-            if future.cancel():
-                chunk = pending.pop(future)
-                first, second = chunk.split()
-                queue.insert(0, second)
-                queue.insert(0, first)
-                self.steal_attempts += 1
-                return
-
-    def _repair(self, stages, states, chunk, suspects):
-        """One isolated chunk proved guilty: bisect toward quarantine."""
-        stage = stages[chunk.stage]
-        attempts = chunk.attempts + 1
-        if len(chunk.indices) > 1:
-            # Bisect: the poisoned task is cornered in log2(chunk)
-            # isolation rounds while its innocent neighbours succeed on
-            # their first retry.
-            first, second = chunk.split()
-            first.attempts = second.attempts = attempts
-            suspects.insert(0, second)
-            suspects.insert(0, first)
-            self.repaired_chunks += 2
-        elif attempts < self.config.max_attempts:
-            suspects.insert(0, _Chunk(chunk.stage, chunk.indices, attempts))
-            self.repaired_chunks += 1
-        else:
-            index = chunk.indices[0]
-            task = stage.tasks[index]
-            if stage.on_lost is None:
-                raise WorkerLostError(
-                    "task %d of stage %r lost its worker %d times"
-                    % (index, stage.name, attempts)
-                )
-            with stage._enter():
-                outcome = stage.on_lost(task)
-            self.quarantined_tasks += 1
-            if self.log is not None:
-                self.log.warning("task_quarantined", stage=stage.name,
-                                 index=index, attempts=attempts)
-            self._deliver(stages, states, chunk, [outcome])
+    def _quarantine(self, stage, index, attempts):
+        """The synthetic outcome of a task whose workers kept dying."""
+        if stage.on_lost is None:
+            raise WorkerLostError(
+                "task %d of stage %r lost its worker %d times"
+                % (index, stage.name, attempts)
+            )
+        if self.log is not None:
+            self.log.warning("task_quarantined", stage=stage.name,
+                             index=index, attempts=attempts)
+        with stage._enter():
+            return stage.on_lost(stage.tasks[index])

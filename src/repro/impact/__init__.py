@@ -11,8 +11,7 @@ adversaries — the injected-SDK script itself and a network MITM who can
 rewrite any cleartext-HTTP visit; and :mod:`repro.impact.census` grades
 every (app, SDK, bridge) on the none < leak < invoke < exfiltrate
 severity scale across the top-1K IAB corpus, sharded over the exec
-layer with byte-identical results at any worker count, backend, and
-streaming setting.
+layer with byte-identical results at any worker count and backend.
 """
 
 from repro.impact.attacker import (
@@ -28,7 +27,6 @@ from repro.impact.census import (
     ImpactCensus,
     ImpactResult,
     ImpactShard,
-    ImpactStreamPlan,
 )
 from repro.impact.severity import (
     SEVERITY_EXFILTRATE,
@@ -48,7 +46,6 @@ __all__ = [
     "ImpactCensus",
     "ImpactResult",
     "ImpactShard",
-    "ImpactStreamPlan",
     "SEVERITY_EXFILTRATE",
     "SEVERITY_INVOKE",
     "SEVERITY_LEAK",

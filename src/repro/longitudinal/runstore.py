@@ -302,10 +302,11 @@ class RunHandle:
 class CheckpointSink:
     """Per-outcome callable wired into the pipeline's checkpoint hook.
 
-    The worker pool invokes it in *completion* order — records are keyed
-    by sha256, so order never matters — and every ``every`` outcomes the
-    accumulated state is rewritten atomically. Download failures are
-    skipped: they must be retried, never replayed.
+    The study driver invokes it in *completion* order — records are
+    keyed by sha256, so order never matters — and every ``every``
+    outcomes the accumulated state is rewritten atomically. Uncacheable
+    outcomes (failed downloads, lost workers) are skipped: they must be
+    retried, never replayed.
     """
 
     def __init__(self, handle, fingerprint, every=25):

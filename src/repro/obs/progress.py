@@ -1,8 +1,8 @@
 """Live progress streaming for long-running study pipelines.
 
 A :class:`ProgressReporter` is a per-outcome callable wired into the
-worker pool's ``on_result`` hook (next to the longitudinal checkpoint
-sink), so static, dynamic and longitudinal runs all stream progress
+study driver's completion-order hooks (next to the longitudinal
+checkpoint sink), so static, dynamic and longitudinal runs all stream progress
 lines without the pipelines knowing anything beyond "call this with each
 outcome"::
 

@@ -32,8 +32,7 @@ EXEC_CACHE_HITS_METRIC = "repro_exec_cache_hits_total"
 EXEC_CACHE_MISSES_METRIC = "repro_exec_cache_misses_total"
 EXEC_CACHE_EVICTIONS_METRIC = "repro_exec_cache_evictions_total"
 
-#: Streaming-scheduler metrics (repro.exec.stream) and the repair
-#: counters shared with the pooled path: simulated work-steal events,
+#: Scheduler metrics (repro.exec): simulated work-steal events,
 #: chunks re-run after worker death, and tasks quarantined into the
 #: drop taxonomy once the retry budget ran out.
 EXEC_STEALS_METRIC = "repro_exec_steals_total"
@@ -63,7 +62,7 @@ SCRIPT_CACHE_TIME_SAVED_METRIC = "repro_script_cache_time_saved_seconds_total"
 
 #: Injection-impact census metrics (repro.impact), recorded in
 #: selection order during the merge so they are byte-identical at any
-#: worker count, backend, and streaming setting.
+#: worker count and backend.
 IMPACT_APPS_METRIC = "repro_impact_apps_total"
 IMPACT_BRIDGES_METRIC = "repro_impact_bridges_total"
 IMPACT_FINDINGS_METRIC = "repro_impact_findings_total"

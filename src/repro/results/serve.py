@@ -328,7 +328,7 @@ class ResultsService:
         invocable, flows, cleartext)``. Byte-equal to flattening the
         live :attr:`~repro.impact.census.ImpactResult.findings` (the
         stored ``position`` column preserves selection order at any
-        worker count / backend / streaming setting).
+        worker count and backend).
         """
         key = ("bridge_findings", app, attacker, min_severity, corpus,
                options, snapshot)
@@ -415,7 +415,7 @@ class ResultsService:
         Byte-equal to flattening the live
         :attr:`~repro.endpoints.EndpointResult.records` (the stored
         ``position`` column preserves selection order at any worker
-        count / backend / streaming setting).
+        count and backend).
         """
         key = ("static_endpoints", source, app, corpus, options, snapshot)
         return self._cached(key, lambda: self._static_endpoints(

@@ -292,7 +292,7 @@ class ResultsStore:
 
         ``prepared`` (static ingests only) maps package ->
         :func:`prepare_study_row` output computed earlier — how a
-        streaming study spreads SDK labeling over the run instead of
+        study spreads SDK labeling over its merge instead of
         paying it all inside the ingest transaction. Rows are identical
         with or without it; missing packages are prepared on the spot.
         """
@@ -452,8 +452,8 @@ def prepare_study_row(analysis, labeler):
 
     Returns the ``(attribution, nutrition label)`` pair
     :class:`_StudyWriter` needs per app. Both are pure functions of the
-    analysis, so a streaming study can call this incrementally as
-    outcomes land and hand the accumulated map to
+    analysis, so a study can call this incrementally as outcomes
+    merge and hand the accumulated map to
     :meth:`ResultsStore.ingest` via ``prepared=`` — the ingest
     transaction then only writes rows, and the stored bytes are
     identical either way.
@@ -621,7 +621,7 @@ class _ImpactWriter:
 
     Rows are written in the census's selection order with an explicit
     ``position`` column, so the stored bytes are identical at any worker
-    count, backend, and streaming setting (the census already guarantees
+    count and backend (the census already guarantees
     the finding order).
     """
 

@@ -4,17 +4,45 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apk import ZipReader, ZipWriter
-from repro.apk.container import write_apk, read_apk
+from repro.apk.container import (
+    DEX_ENTRY,
+    MANIFEST_ENTRY,
+    SIGNATURE_ENTRY,
+    read_apk,
+    write_apk,
+)
+from repro.apk.zipio import STORED
+from repro.android.axml import (
+    AXML_MAGIC,
+    XmlElement,
+    decode_axml,
+    encode_axml,
+)
 from repro.android.manifest import AndroidManifest
 from repro.corpus import CorpusConfig, generate_corpus
-from repro.dex import DexFile, serialize_dex, deserialize_dex
+from repro.dex import (
+    ClassBuilder,
+    DexFile,
+    deserialize_dex,
+    serialize_dex,
+)
+from repro.dex.constants import DEX_MAGIC
 from repro.dynamic.crawler import AdbCrawler
 from repro.dynamic.device import Device
 from repro.dynamic.manual_study import ManualStudy
 from repro.dynamic.webview_runtime import WebViewRuntime
-from repro.errors import BrokenApkError, NetworkError
+from repro.errors import (
+    BrokenApkError,
+    DexError,
+    ManifestError,
+    NetworkError,
+    error_slug,
+)
+from repro.exec import AnalysisCache
+from repro.obs import DROPS_METRIC, Obs
 from repro.netstack.network import Network, Request
 from repro.static_analysis import StaticAnalysisPipeline
+from repro.util import sha256_hex
 from repro.web.htmlparser import parse_html
 from repro.web.jsengine import run_script
 from repro.web.urls import parse_url
@@ -94,6 +122,120 @@ class TestBrokenApkVariants:
             read_apk(junk)
         except BrokenApkError:
             pass
+
+
+def _bad_first_string(data, magic):
+    """Make the first string-pool entry invalid UTF-8, length intact.
+
+    DEX and AXML share the pool layout after their magic: a u32 count,
+    then a u16 length and the bytes of each string.
+    """
+    offset = len(magic) + 4 + 2
+    return data[:offset] + b"\xff" + data[offset + 1:]
+
+
+def _signed_container(manifest_bytes, dex_bytes):
+    """An APK container whose signature digest matches its entries."""
+    writer = ZipWriter()
+    writer.add(MANIFEST_ENTRY, manifest_bytes)
+    writer.add(DEX_ENTRY, dex_bytes)
+    writer.add(SIGNATURE_ENTRY,
+               sha256_hex(manifest_bytes + dex_bytes).encode("ascii"),
+               method=STORED)
+    return writer.getvalue()
+
+
+def _non_integer_version(manifest_bytes):
+    root = decode_axml(manifest_bytes)
+    root.attrs["android:versionCode"] = "v2"
+    return encode_axml(root)
+
+
+#: Hostile rewrites of an APK's (manifest bytes, dex bytes).
+_MUTATIONS = {
+    "dex_string": lambda m, d: (m, _bad_first_string(d, DEX_MAGIC)),
+    "axml_string": lambda m, d: (_bad_first_string(m, AXML_MAGIC), d),
+    "manifest_int": lambda m, d: (_non_integer_version(m), d),
+}
+
+
+def _mutated_apk(data, mutation):
+    reader = ZipReader(data)
+    manifest_bytes, dex_bytes = _MUTATIONS[mutation](
+        reader.read(MANIFEST_ENTRY), reader.read(DEX_ENTRY))
+    return _signed_container(manifest_bytes, dex_bytes)
+
+
+class TestHostileBytes:
+    """Undecodable strings and non-integer attributes stay in the taxonomy."""
+
+    def _dex_bytes(self):
+        builder = ClassBuilder("Lcom/x/Main;")
+        return serialize_dex(DexFile([builder.build()]))
+
+    def test_dex_string_pool_not_utf8(self):
+        with pytest.raises(DexError):
+            deserialize_dex(_bad_first_string(self._dex_bytes(), DEX_MAGIC))
+
+    def test_axml_string_pool_not_utf8(self):
+        data = AndroidManifest("com.x.app").to_axml_bytes()
+        with pytest.raises(ManifestError):
+            decode_axml(_bad_first_string(data, AXML_MAGIC))
+
+    @pytest.mark.parametrize("element, name", [
+        ("manifest", "android:versionCode"),
+        ("uses-sdk", "android:minSdkVersion"),
+        ("uses-sdk", "android:targetSdkVersion"),
+    ])
+    def test_manifest_non_integer_attribute(self, element, name):
+        root = XmlElement("manifest", {"package": "com.x.app"})
+        target = root
+        if element != "manifest":
+            target = root.add(XmlElement(element))
+        target.attrs[name] = "twelve"
+        with pytest.raises(ManifestError):
+            AndroidManifest.from_element(root)
+
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    def test_signed_hostile_container_is_broken_apk(self, mutation):
+        good = write_apk(AndroidManifest("com.x.app"),
+                         DexFile([ClassBuilder("Lcom/x/Main;").build()]))
+        with pytest.raises(BrokenApkError):
+            read_apk(_mutated_apk(good, mutation))
+
+    def test_study_with_k_hostile_apks_has_k_more_drops(self):
+        """A seeded study with K hostile APKs: exactly K more drops."""
+        corpus = generate_corpus(CorpusConfig(universe_size=1_500, seed=31))
+
+        def run():
+            pipeline = StaticAnalysisPipeline(corpus, obs=Obs(),
+                                              cache=AnalysisCache())
+            result = pipeline.run(max_apps=12)
+            drops = pipeline.obs.registry.label_values(DROPS_METRIC)
+            return result, drops
+
+        clean, clean_drops = run()
+        victims = [a.sha256 for a in clean.analyses if not a.failed]
+        hostile = dict(zip(victims, sorted(_MUTATIONS)))
+        download = corpus.repository.download
+
+        def hostile_download(sha256):
+            data = download(sha256)
+            if sha256 in hostile:
+                return _mutated_apk(data, hostile[sha256])
+            return data
+
+        corpus.repository.download = hostile_download
+        try:
+            mutated, drops = run()
+        finally:
+            del corpus.repository.download
+        k = len(hostile)
+        assert k == 3
+        assert sum(drops.values()) == sum(clean_drops.values()) + k
+        assert mutated.analyzed == clean.analyzed - k
+        broken = (error_slug(BrokenApkError),)
+        assert drops[broken] == clean_drops.get(broken, 0) + k
 
 
 class TestNetworkEdgeCases:

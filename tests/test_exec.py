@@ -1,5 +1,6 @@
 """Tests for the parallel-execution layer (repro.exec)."""
 
+import importlib.util
 import multiprocessing
 import os
 
@@ -12,19 +13,31 @@ from repro.exec import (
     BACKEND_INLINE,
     BACKEND_PROCESS,
     CHUNK_SIZE_ENV_VAR,
+    Chunk,
     ExecConfig,
     ExecConfigError,
     InlinePool,
     MAX_WORKERS_ENV_VAR,
     ProcessPool,
     RETRIES_ENV_VAR,
-    STREAMING_ENV_VAR,
     WINDOW_ENV_VAR,
     chain_results,
     make_pool,
     process_backend_available,
-    simulate_schedule,
 )
+
+
+def _load_barrier_replay():
+    """The scheduler benchmark's greedy barrier replay (benchmarks/)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "benchmarks", "_barrier.py")
+    spec = importlib.util.spec_from_file_location("_barrier", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.simulate_schedule
+
+
+simulate_schedule = _load_barrier_replay()
 
 
 class TestExecConfig:
@@ -87,15 +100,6 @@ class TestExecConfig:
         with pytest.raises(ExecConfigError):
             ExecConfig()
 
-    def test_streaming_env_flag(self, monkeypatch):
-        monkeypatch.setenv(STREAMING_ENV_VAR, "1")
-        assert ExecConfig().streaming is True
-        monkeypatch.setenv(STREAMING_ENV_VAR, "off")
-        assert ExecConfig().streaming is False
-        monkeypatch.setenv(STREAMING_ENV_VAR, "sometimes")
-        with pytest.raises(ExecConfigError):
-            ExecConfig()
-
     def test_retries_env_and_validation(self, monkeypatch):
         monkeypatch.setenv(RETRIES_ENV_VAR, "5")
         assert ExecConfig().max_attempts == 5
@@ -131,6 +135,8 @@ class TestAnalysisCache:
 
 
 class TestSimulateSchedule:
+    """The greedy barrier replay the scheduler benchmark compares against."""
+
     def test_empty(self):
         schedule = simulate_schedule([], 4, 2)
         assert schedule.critical_path == 0.0
@@ -170,32 +176,87 @@ def _square(value):
     return value * value
 
 
+def _negate(value):
+    return -value
+
+
 def _explode(value):
     raise RuntimeError("task %d blew up" % value)
+
+
+def join_leftover_children(timeout=30):
+    """Wait out workers of pools that earlier tests broke on purpose.
+
+    A broken pool is shut down without waiting, so its workers may
+    still be exiting when the next test starts.
+    """
+    for child in multiprocessing.active_children():
+        child.join(timeout)
+
+
+def run_pool(pool, items, fn, chunk_size=1, on_result=None):
+    """Map ``fn`` over ``items`` as one stage; results in input order."""
+    results = [None] * len(items)
+    chunks = [Chunk(0, list(range(start, min(start + chunk_size,
+                                             len(items)))))
+              for start in range(0, len(items), chunk_size)]
+
+    def deliver(chunk, outcomes):
+        if outcomes is None:
+            outcomes = [("lost", items[chunk.indices[0]])]
+        for index, value in zip(chunk.indices, outcomes):
+            results[index] = value
+            if on_result is not None:
+                on_result(value)
+
+    pool.map(items, [fn], chunks, deliver)
+    return results
 
 
 class TestWorkerPools:
     def test_inline_pool_ordered(self):
         pool = InlinePool(ExecConfig(max_workers=1))
-        assert pool.map([1, 2, 3], _square) == [1, 4, 9]
+        assert run_pool(pool, [1, 2, 3], _square) == [1, 4, 9]
 
     def test_process_pool_matches_inline(self):
         config = ExecConfig(max_workers=2, chunk_size=2,
                             backend=BACKEND_PROCESS)
         values = list(range(11))
-        assert ProcessPool(config).map(values, _square) == [
-            v * v for v in values
-        ]
+        assert run_pool(ProcessPool(config), values, _square,
+                        chunk_size=2) == [v * v for v in values]
 
     def test_process_pool_empty_input(self):
         config = ExecConfig(max_workers=2, backend=BACKEND_PROCESS)
-        assert ProcessPool(config).map([], _square) == []
+        assert run_pool(ProcessPool(config), [], _square) == []
 
     def test_process_pool_propagates_worker_bugs(self):
         config = ExecConfig(max_workers=2, chunk_size=1,
                             backend=BACKEND_PROCESS)
         with pytest.raises(RuntimeError):
-            ProcessPool(config).map([1], _explode)
+            run_pool(ProcessPool(config), [1], _explode)
+
+    @pytest.mark.parametrize("backend", [BACKEND_INLINE, BACKEND_PROCESS])
+    def test_each_chunk_runs_its_stage_function(self, backend):
+        config = ExecConfig(max_workers=2, backend=backend)
+        pool = make_pool(config)
+        results = {}
+
+        def deliver(chunk, outcomes):
+            results.update(zip(chunk.indices, outcomes))
+
+        chunks = [Chunk(0, [0, 1]), Chunk(1, [2, 3]), Chunk(0, [4])]
+        pool.map([1, 2, 3, 4, 5], [_square, _negate], chunks, deliver)
+        assert results == {0: 1, 1: 4, 2: -3, 3: -4, 4: 25}
+
+    @pytest.mark.skipif(not process_backend_available(),
+                        reason="process pools unavailable on this platform")
+    def test_process_pool_joins_its_workers(self):
+        join_leftover_children()
+        config = ExecConfig(max_workers=2, chunk_size=1,
+                            backend=BACKEND_PROCESS)
+        run_pool(ProcessPool(config), list(range(6)), _square)
+        # Joined workers are accounted to getrusage(RUSAGE_CHILDREN).
+        assert multiprocessing.active_children() == []
 
     def test_make_pool_resolves_backend(self):
         assert make_pool(ExecConfig(max_workers=1)).name == BACKEND_INLINE
@@ -224,8 +285,7 @@ class TestWorkerPools:
 def _die_in_worker(value):
     # Simulated worker death: os._exit skips all exception machinery, so
     # the executor sees only a vanished process (BrokenProcessPool). The
-    # parent-process guard makes the same task succeed when the repair
-    # pass re-runs it inline.
+    # parent-process guard keeps the same call harmless inline.
     if value == 13 and multiprocessing.parent_process() is not None:
         os._exit(1)
     return value * value
@@ -236,20 +296,25 @@ def _die_in_worker(value):
 class TestProcessPoolRepair:
     def test_worker_death_repaired_without_aborting(self):
         config = ExecConfig(max_workers=2, chunk_size=2,
-                            backend=BACKEND_PROCESS)
+                            backend=BACKEND_PROCESS, max_attempts=2)
         pool = ProcessPool(config)
         seen = []
         values = list(range(20))
-        results = pool.map(values, _die_in_worker, on_result=seen.append)
-        assert results == [v * v for v in values]
+        results = run_pool(pool, values, _die_in_worker, chunk_size=2,
+                           on_result=seen.append)
+        # The task that keeps killing its worker is quarantined; every
+        # innocent task, its chunk-mate included, still delivers.
+        assert results == [("lost", 13) if v == 13 else v * v
+                           for v in values]
         assert pool.repaired_chunks >= 1
+        assert pool.quarantined_tasks == 1
         # Every result was also delivered through the on_result hook,
         # including the ones from repaired chunks.
-        assert sorted(seen) == sorted(results)
+        assert sorted(map(str, seen)) == sorted(map(str, results))
 
     def test_inline_pool_never_repairs(self):
         pool = InlinePool(ExecConfig(max_workers=1))
-        assert pool.map([1, 2], _square) == [1, 4]
+        assert run_pool(pool, [1, 2], _square) == [1, 4]
         assert pool.repaired_chunks == 0
 
 
@@ -305,7 +370,7 @@ class TestChainResults:
         pool = InlinePool(ExecConfig(max_workers=1))
         values = []
         hook = _RecordingHook()
-        results = pool.map([1, 2, 3], _square,
+        results = run_pool(pool, [1, 2, 3], _square,
                            on_result=chain_results(values.append, hook))
         assert results == [1, 4, 9]
         assert values == [1, 4, 9]
@@ -318,8 +383,8 @@ class TestChainResults:
                             backend=BACKEND_PROCESS)
         values = []
         hook = _RecordingHook()
-        results = ProcessPool(config).map(
-            list(range(9)), _square,
+        results = run_pool(
+            ProcessPool(config), list(range(9)), _square, chunk_size=2,
             on_result=chain_results(values.append, hook),
         )
         assert results == [v * v for v in range(9)]
