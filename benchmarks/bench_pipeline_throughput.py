@@ -155,6 +155,16 @@ def _timed_run(corpus, cache, class_cache=True):
     return obs, result, stages
 
 
+def _analysis_seconds(stages):
+    """The per-APK analysis stage: ``analyze_app`` less its ``download``.
+
+    Each task builds its APK inside ``analyze_app``; no cache tier skips
+    that synthesis, so it is left out of the stage the class cache
+    speeds up.
+    """
+    return stages["analyze_app"] - stages.get("download", 0.0)
+
+
 def _class_hit_rate(obs):
     hits = obs.registry.value(EXEC_CLASS_CACHE_HITS_METRIC)
     misses = obs.registry.value(EXEC_CLASS_CACHE_MISSES_METRIC)
@@ -178,7 +188,8 @@ def test_class_cache_speedup(exec_corpus, bench_json):
     cold_obs, cold_result, cold_stages = _timed_run(exec_corpus, cold_cache)
     retry_cache = AnalysisCache()
     _, _, cold_retry = _timed_run(exec_corpus, retry_cache)
-    cold_time = min(cold_stages["analyze_app"], cold_retry["analyze_app"])
+    cold_time = min(_analysis_seconds(cold_stages),
+                    _analysis_seconds(cold_retry))
 
     warm_obs, warm_result, warm_stages = _timed_run(
         exec_corpus, AnalysisCache(classes=cold_cache.classes)
@@ -186,7 +197,8 @@ def test_class_cache_speedup(exec_corpus, bench_json):
     _, _, warm_retry = _timed_run(
         exec_corpus, AnalysisCache(classes=cold_cache.classes)
     )
-    warm_time = min(warm_stages["analyze_app"], warm_retry["analyze_app"])
+    warm_time = min(_analysis_seconds(warm_stages),
+                    _analysis_seconds(warm_retry))
 
     # Same seed, any cache state: byte-identical StudyResults.
     off_exported = export_study_json(off_result)
@@ -207,7 +219,7 @@ def test_class_cache_speedup(exec_corpus, bench_json):
 
     apps = cold_result.analyzed + cold_result.broken
     print()
-    print("class-cache speedup (analyze_app stage, %d apps): %.2fx "
+    print("class-cache speedup (analysis stage, %d apps): %.2fx "
           "(cold %.3fs -> warm %.3fs)" % (apps, speedup, cold_time,
                                           warm_time))
     print("class-cache hit rate: cold %.1f%%, warm %.1f%%"

@@ -6,6 +6,7 @@ from repro.androzoo.repository import (
     Snapshot,
     SnapshotDelta,
     diff_snapshots,
+    fetch,
 )
 
 __all__ = [
@@ -14,4 +15,5 @@ __all__ = [
     "Snapshot",
     "SnapshotDelta",
     "diff_snapshots",
+    "fetch",
 ]

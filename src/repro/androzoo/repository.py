@@ -7,7 +7,12 @@ Play-Store apps and to download each selected app's most recent APK.
 
 APK payloads may be stored eagerly (bytes) or lazily (a zero-argument
 callable producing bytes), so corpus generation can defer the expensive
-APK synthesis until the pipeline actually downloads the app.
+APK synthesis until an app is actually analyzed.
+:meth:`AndroZooRepository.source` hands out a stored payload unresolved
+and :func:`fetch` resolves one to bytes; :meth:`~AndroZooRepository.download`
+is ``fetch(source(sha256))``, memoized. The static pipeline ships the
+source to its workers, so APKs are built where they are analyzed and
+the parent never holds their bytes.
 """
 
 import datetime
@@ -223,16 +228,28 @@ class AndroZooRepository:
         rows = [row for row in self._rows if row.dex_date <= date]
         return Snapshot(date, rows)
 
+    def source(self, sha256):
+        """The stored payload for ``sha256``, unresolved.
+
+        Bytes, or the zero-argument callable that builds them; either
+        pickles small enough to ship to a worker, which resolves it with
+        :func:`fetch`.
+        """
+        try:
+            return self._payloads[sha256]
+        except KeyError:
+            raise RepositoryError("unknown sha256: %s" % sha256) from None
+
     def download(self, sha256):
-        """Fetch APK bytes by SHA-256 (resolving lazy payloads)."""
-        if sha256 not in self._payloads:
-            raise RepositoryError("unknown sha256: %s" % sha256)
-        payload = self._payloads[sha256]
-        if callable(payload):
-            payload = payload()
-            self._payloads[sha256] = payload
+        """Fetch APK bytes by SHA-256, resolving and keeping lazy payloads."""
+        payload = self._payloads[sha256] = fetch(self.source(sha256))
         self.downloads_served += 1
         return payload
 
     def __len__(self):
         return len(self._rows)
+
+
+def fetch(source):
+    """Resolve a payload from :meth:`AndroZooRepository.source` to bytes."""
+    return source() if callable(source) else source

@@ -13,6 +13,7 @@ constants) are stored as u32 indexes into the shared string pool, like a
 real DEX file's string_ids section.
 """
 
+import itertools
 import struct
 
 from repro.dex.constants import (
@@ -44,191 +45,7 @@ _U32X3 = struct.Struct("<III")
 _OPCODE_BY_VALUE = {int(opcode): opcode for opcode in Opcode}
 
 
-class _Writer:
-    def __init__(self):
-        self.parts = []
-
-    def u8(self, value):
-        self.parts.append(bytes([value & 0xFF]))
-
-    def u16(self, value):
-        self.parts.append(_U16.pack(value))
-
-    def u32(self, value):
-        self.parts.append(_U32.pack(value))
-
-    def i32(self, value):
-        self.parts.append(_I32.pack(value))
-
-    def raw(self, data):
-        self.parts.append(data)
-
-    def getvalue(self):
-        return b"".join(self.parts)
-
-
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.offset = 0
-
-    def u8(self):
-        value = self.data[self.offset]
-        self.offset += 1
-        return value
-
-    def u16(self):
-        (value,) = _U16.unpack_from(self.data, self.offset)
-        self.offset += 2
-        return value
-
-    def u32(self):
-        (value,) = _U32.unpack_from(self.data, self.offset)
-        self.offset += 4
-        return value
-
-    def i32(self):
-        (value,) = _I32.unpack_from(self.data, self.offset)
-        self.offset += 4
-        return value
-
-    def raw(self, length):
-        chunk = self.data[self.offset: self.offset + length]
-        if len(chunk) != length:
-            raise DexError("truncated dex data")
-        self.offset += length
-        return chunk
-
-
-class _StringPool:
-    def __init__(self):
-        self.strings = []
-        self.index = {}
-
-    def intern(self, value):
-        if value in self.index:
-            return self.index[value]
-        position = len(self.strings)
-        self.strings.append(value)
-        self.index[value] = position
-        return position
-
-
-def _collect_strings(dex_file, pool):
-    for dex_class in dex_file.classes:
-        pool.intern(dex_class.name)
-        pool.intern(dex_class.superclass or "java.lang.Object")
-        pool.intern(dex_class.source_file)
-        for interface in dex_class.interfaces:
-            pool.intern(interface)
-        for field in dex_class.fields:
-            pool.intern(field.name)
-            pool.intern(field.type_name)
-        for method in dex_class.methods:
-            pool.intern(method.name)
-            pool.intern(method.descriptor)
-            for instruction in method.instructions:
-                operand = instruction.operand
-                if isinstance(operand, MethodRef):
-                    pool.intern(operand.class_name)
-                    pool.intern(operand.method_name)
-                    pool.intern(operand.descriptor)
-                elif isinstance(operand, str):
-                    pool.intern(operand)
-
-
-def _write_instruction(writer, pool, instruction):
-    writer.u8(int(instruction.opcode))
-    operand = instruction.operand
-    if instruction.opcode.is_invoke:
-        writer.u32(pool.intern(operand.class_name))
-        writer.u32(pool.intern(operand.method_name))
-        writer.u32(pool.intern(operand.descriptor))
-    elif instruction.opcode in (Opcode.CONST_STRING, Opcode.NEW_INSTANCE):
-        writer.u32(pool.intern(operand))
-    elif instruction.opcode in (Opcode.CONST_INT, Opcode.IF_EQZ,
-                                Opcode.IF_NEZ, Opcode.GOTO):
-        writer.i32(int(operand or 0))
-    elif instruction.opcode in (Opcode.IGET, Opcode.IPUT,
-                                Opcode.SGET, Opcode.SPUT):
-        class_name, field_name = operand
-        writer.u32(pool.intern(class_name))
-        writer.u32(pool.intern(field_name))
-    else:
-        # No operand: NOP, RETURN*, THROW, MOVE, MOVE_RESULT.
-        pass
-
-
-def _read_instruction(reader, strings):
-    try:
-        opcode = Opcode(reader.u8())
-    except ValueError as exc:
-        raise DexError("unknown opcode: %s" % exc)
-    if opcode.is_invoke:
-        ref = MethodRef(
-            strings[reader.u32()], strings[reader.u32()], strings[reader.u32()]
-        )
-        return Instruction(opcode, ref)
-    if opcode in (Opcode.CONST_STRING, Opcode.NEW_INSTANCE):
-        return Instruction(opcode, strings[reader.u32()])
-    if opcode in (Opcode.CONST_INT, Opcode.IF_EQZ, Opcode.IF_NEZ, Opcode.GOTO):
-        return Instruction(opcode, reader.i32())
-    if opcode in (Opcode.IGET, Opcode.IPUT, Opcode.SGET, Opcode.SPUT):
-        return Instruction(opcode, (strings[reader.u32()], strings[reader.u32()]))
-    return Instruction(opcode)
-
-
-def _write_class_record(body, pool, dex_class):
-    """One class record, interning its strings into ``pool``."""
-    body.u32(pool.intern(dex_class.name))
-    body.u32(pool.intern(dex_class.superclass or "java.lang.Object"))
-    body.u32(pool.intern(dex_class.source_file))
-    body.u32(int(dex_class.flags))
-    body.u16(len(dex_class.interfaces))
-    for interface in dex_class.interfaces:
-        body.u32(pool.intern(interface))
-    body.u16(len(dex_class.fields))
-    for field in dex_class.fields:
-        body.u32(pool.intern(field.name))
-        body.u32(pool.intern(field.type_name))
-        body.u32(int(field.flags))
-    body.u16(len(dex_class.methods))
-    for method in dex_class.methods:
-        body.u32(pool.intern(method.name))
-        body.u32(pool.intern(method.descriptor))
-        body.u32(int(method.flags))
-        body.u32(len(method.instructions))
-        for instruction in method.instructions:
-            _write_instruction(body, pool, instruction)
-
-
-def _write_string_pool(writer, pool):
-    writer.u32(len(pool.strings))
-    for value in pool.strings:
-        encoded = value.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise DexError("string too long for pool: %d bytes" % len(encoded))
-        writer.u16(len(encoded))
-        writer.raw(encoded)
-
-
-def serialize_dex(dex_file):
-    """Serialize a :class:`DexFile` to bytes."""
-    pool = _StringPool()
-    _collect_strings(dex_file, pool)
-
-    body = _Writer()
-    body.u32(len(dex_file.classes))
-    for dex_class in dex_file.classes:
-        _write_class_record(body, pool, dex_class)
-
-    header = _Writer()
-    header.raw(DEX_MAGIC)
-    _write_string_pool(header, pool)
-    return header.getvalue() + body.getvalue()
-
-
-#: Operand-shape opcode groups, hoisted for the serialize_class hot loop.
+#: Operand-shape opcode groups, hoisted for the record codec hot loops.
 _INT_OPERAND_OPCODES = frozenset(
     (Opcode.CONST_INT, Opcode.IF_EQZ, Opcode.IF_NEZ, Opcode.GOTO)
 )
@@ -240,21 +57,17 @@ _FIELD_OPERAND_OPCODES = frozenset(
 )
 
 
-def serialize_class(dex_class):
-    """Canonical encoding of a single class, for content addressing.
+def _encode_class_record(body, index, dex_class):
+    """Append one class record to ``body``, interning into ``index``.
 
-    Same record layout as :func:`serialize_dex` but with a class-local
-    string pool (interned in record-write order), so the bytes depend
-    only on the class itself — never on sibling classes sharing a DEX
-    file's pool. Two classes with equal canonical bytes are equal in
-    every field the analysis pipeline reads.
-
-    This runs once per class per APK on the pipeline's hot path (the
-    cache key must be recomputed even on a hit), so it is hand-inlined
-    rather than layered on :class:`_Writer`/:class:`_StringPool`.
+    ``index`` maps each pool string to its position; a string not yet
+    in it is appended at the next position (``dict`` keeps insertion
+    order, so its keys are the pool). This runs once per class on
+    every APK build and every class-digest computation, so it is
+    hand-inlined: ``setdefault`` interns in one C call.
     """
-    strings = []
-    index = {}
+    intern = index.setdefault
+    size = index.__len__
     pack_u16 = _U16.pack
     pack_u32 = _U32.pack
     pack_i32 = _I32.pack
@@ -263,31 +76,23 @@ def serialize_class(dex_class):
     string_ops = _STRING_OPERAND_OPCODES
     field_ops = _FIELD_OPERAND_OPCODES
 
-    def intern(value):
-        position = index.get(value)
-        if position is None:
-            position = len(strings)
-            index[value] = position
-            strings.append(value)
-        return position
-
-    body = bytearray()
-    body += pack_u32(intern(dex_class.name))
-    body += pack_u32(intern(dex_class.superclass or "java.lang.Object"))
-    body += pack_u32(intern(dex_class.source_file))
+    body += pack_u32(intern(dex_class.name, size()))
+    body += pack_u32(intern(dex_class.superclass or "java.lang.Object",
+                            size()))
+    body += pack_u32(intern(dex_class.source_file, size()))
     body += pack_u32(int(dex_class.flags))
     body += pack_u16(len(dex_class.interfaces))
     for interface in dex_class.interfaces:
-        body += pack_u32(intern(interface))
+        body += pack_u32(intern(interface, size()))
     body += pack_u16(len(dex_class.fields))
     for field in dex_class.fields:
-        body += pack_u32(intern(field.name))
-        body += pack_u32(intern(field.type_name))
+        body += pack_u32(intern(field.name, size()))
+        body += pack_u32(intern(field.type_name, size()))
         body += pack_u32(int(field.flags))
     body += pack_u16(len(dex_class.methods))
     for method in dex_class.methods:
-        body += pack_u32(intern(method.name))
-        body += pack_u32(intern(method.descriptor))
+        body += pack_u32(intern(method.name, size()))
+        body += pack_u32(intern(method.descriptor, size()))
         body += pack_u32(int(method.flags))
         instructions = method.instructions
         body += pack_u32(len(instructions))
@@ -296,28 +101,94 @@ def serialize_class(dex_class):
             body.append(opcode & 0xFF)
             if opcode in invoke_ops:
                 operand = instruction.operand
-                body += pack_u32(intern(operand.class_name))
-                body += pack_u32(intern(operand.method_name))
-                body += pack_u32(intern(operand.descriptor))
+                body += pack_u32(intern(operand.class_name, size()))
+                body += pack_u32(intern(operand.method_name, size()))
+                body += pack_u32(intern(operand.descriptor, size()))
             elif opcode in string_ops:
-                body += pack_u32(intern(instruction.operand))
+                body += pack_u32(intern(instruction.operand, size()))
             elif opcode in int_ops:
                 body += pack_i32(int(instruction.operand or 0))
             elif opcode in field_ops:
                 class_name, field_name = instruction.operand
-                body += pack_u32(intern(class_name))
-                body += pack_u32(intern(field_name))
+                body += pack_u32(intern(class_name, size()))
+                body += pack_u32(intern(field_name, size()))
+            # Any other opcode (NOP, RETURN*, THROW, MOVE, MOVE_RESULT)
+            # has no operand on the wire.
 
-    header = bytearray(CLASS_MAGIC)
-    header += pack_u32(len(strings))
-    for value in strings:
+
+def _encode_string_pool(out, pool):
+    """Append ``pool``'s strings in order: a u32 count, then (u16, utf-8)."""
+    pack_u16 = _U16.pack
+    out += _U32.pack(len(pool))
+    for value in pool:
         encoded = value.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise DexError("string too long for pool: %d bytes"
                            % len(encoded))
-        header += pack_u16(len(encoded))
-        header += encoded
-    return bytes(header + body)
+        out += pack_u16(len(encoded))
+        out += encoded
+
+
+def _pool_order(classes):
+    """The pool order :func:`serialize_dex` has always written.
+
+    Every string a class record names is interned in record order,
+    except field-access operands, which the record writer appends after
+    all the others. Kept so DEX bytes stay identical across releases.
+    """
+    names = []
+    add = names.append
+    for dex_class in classes:
+        add(dex_class.name)
+        add(dex_class.superclass or "java.lang.Object")
+        add(dex_class.source_file)
+        names += dex_class.interfaces
+        for field in dex_class.fields:
+            add(field.name)
+            add(field.type_name)
+        for method in dex_class.methods:
+            add(method.name)
+            add(method.descriptor)
+            for instruction in method.instructions:
+                operand = instruction.operand
+                if isinstance(operand, MethodRef):
+                    add(operand.class_name)
+                    add(operand.method_name)
+                    add(operand.descriptor)
+                elif isinstance(operand, str):
+                    add(operand)
+    return dict(zip(dict.fromkeys(names), itertools.count()))
+
+
+def serialize_dex(dex_file):
+    """Serialize a :class:`DexFile` to bytes."""
+    classes = dex_file.classes
+    index = _pool_order(classes)
+    body = bytearray(_U32.pack(len(classes)))
+    for dex_class in classes:
+        _encode_class_record(body, index, dex_class)
+    out = bytearray(DEX_MAGIC)
+    _encode_string_pool(out, index)
+    out += body
+    return bytes(out)
+
+
+def serialize_class(dex_class):
+    """Canonical encoding of a single class, for content addressing.
+
+    Same record layout as :func:`serialize_dex` but with a class-local
+    string pool (interned in record-write order), so the bytes depend
+    only on the class itself — never on sibling classes sharing a DEX
+    file's pool. Two classes with equal canonical bytes are equal in
+    every field the analysis pipeline reads.
+    """
+    index = {}
+    body = bytearray()
+    _encode_class_record(body, index, dex_class)
+    out = bytearray(CLASS_MAGIC)
+    _encode_string_pool(out, index)
+    out += body
+    return bytes(out)
 
 
 def class_digest(dex_class):
@@ -330,7 +201,7 @@ def deserialize_dex(data):
 
     This is the first thing the analysis pipeline does to every APK, so
     the inner loops are hand-inlined: direct ``unpack_from`` on a local
-    offset instead of :class:`_Reader` method calls, dict-based opcode
+    offset instead of reader method calls, dict-based opcode
     dispatch instead of the enum constructor, and a trusted-path
     :class:`Instruction` build that skips re-validating operand shapes
     the wire format already guarantees.

@@ -39,8 +39,16 @@ _ASSIGN_OPS = frozenset(
 
 
 def parse_java(source):
-    """Parse Java source text into a :class:`~repro.javasrc.ast.CompilationUnit`."""
-    return _Parser(tokenize(source)).parse_compilation_unit()
+    """Parse Java source text into a :class:`~repro.javasrc.ast.CompilationUnit`.
+
+    Nesting deeper than the interpreter's recursion limit raises
+    :class:`JavaSyntaxError`, caught only here so the hot path pays
+    nothing for it.
+    """
+    try:
+        return _Parser(tokenize(source)).parse_compilation_unit()
+    except RecursionError:
+        raise JavaSyntaxError("nesting too deep") from None
 
 
 def try_parse_java(source):

@@ -7,12 +7,19 @@ reachability and deep-link-exclusion flags.
 
 :class:`StaticAnalysisPipeline` performs steps (1)-(2) around it: list the
 AndroZoo snapshot, fetch Play metadata, apply the 100K-downloads and
-updated-after-2021 filters, download APKs, and aggregate a
+updated-after-2021 filters, and aggregate a
 :class:`~repro.static_analysis.results.StudyResult`.
 
-Per-app analysis runs on the :mod:`repro.exec` kernel — the stream
-scheduler and its shared study driver, over worker processes when
-``max_workers > 1`` and in-process otherwise. Per-app
+The parent selects and merges only. Per-app work — the download and the
+analysis — runs on the :mod:`repro.exec` kernel, the stream scheduler
+and its shared study driver, over worker processes when
+``max_workers > 1`` and in-process otherwise. Each
+:class:`AnalysisTask` carries the repository's unresolved payload
+(:meth:`~repro.androzoo.repository.AndroZooRepository.source`: bytes or
+a lazy APK build, a few hundred bytes pickled), and the task resolves it
+with :func:`~repro.androzoo.repository.fetch` inside its ``download``
+span, so APKs are synthesized in the workers, in parallel, and never
+held by the parent. Per-app
 failures (a broken APK, a failed download, any :class:`ReproError` from
 analysis) are isolated into the drop taxonomy instead of aborting the
 run, results are aggregated in selection order so same-seed studies are
@@ -37,6 +44,7 @@ import functools
 import time
 
 from repro.android import api
+from repro.androzoo.repository import fetch
 from repro.apk.container import read_apk
 from repro.callgraph.builder import build_call_graph
 from repro.callgraph.entrypoints import entry_point_methods
@@ -216,16 +224,21 @@ DROP_UPDATED_BEFORE_CUTOFF = "updated_before_cutoff"
 
 
 class AnalysisTask:
-    """One unit of per-app work shipped to a worker."""
+    """One unit of per-app work shipped to a worker.
 
-    __slots__ = ("position", "sha256", "package", "data", "category",
+    ``source`` is the repository payload, unresolved: APK bytes or the
+    zero-argument callable that builds them.
+    """
+
+    __slots__ = ("position", "sha256", "package", "source", "category",
                  "installs")
 
-    def __init__(self, position, sha256, package, data, category, installs):
+    def __init__(self, position, sha256, package, source, category,
+                 installs):
         self.position = position
         self.sha256 = sha256
         self.package = package
-        self.data = data
+        self.source = source
         self.category = category
         self.installs = installs
 
@@ -265,17 +278,34 @@ class _WorkerSettings:
         self.class_cache = class_cache
 
 
+def _failed_outcome(task, exc):
+    """A :class:`ReproError` as a failed outcome carrying its drop slug.
+
+    A failed download is retried next run, so it is never cached.
+    """
+    analysis = AppAnalysis(task.package, category=task.category,
+                           installs=task.installs)
+    analysis.failed = True
+    analysis.failure_reason = str(exc)
+    outcome = AnalysisOutcome(task.position, task.sha256, task.package,
+                              analysis, error_slug(exc), str(exc))
+    outcome.cacheable = not isinstance(exc, RepositoryError)
+    return outcome
+
+
 def _execute_analysis(options, task, decompiler=None, facts_cache=None,
                       recorder=None):
-    """Run one task with per-app fault isolation.
+    """Download and analyze one app with per-app fault isolation.
 
-    Any :class:`ReproError` (broken APK, decompilation failure, ...)
-    becomes a failed outcome carrying its drop slug; only non-library
-    exceptions — genuine bugs — propagate and abort the run.
+    Any :class:`ReproError` (failed download, broken APK, decompilation
+    failure, ...) becomes a failed outcome carrying its drop slug; only
+    non-library exceptions — genuine bugs — propagate and abort the run.
     """
     try:
+        with trace_span("download", package=task.package):
+            data = fetch(task.source)
         analysis = analyze_apk_bytes(
-            task.data,
+            data,
             options=options,
             decompiler=decompiler,
             category=task.category,
@@ -284,12 +314,7 @@ def _execute_analysis(options, task, decompiler=None, facts_cache=None,
             recorder=recorder,
         )
     except ReproError as exc:
-        analysis = AppAnalysis(task.package, category=task.category,
-                               installs=task.installs)
-        analysis.failed = True
-        analysis.failure_reason = str(exc)
-        outcome = AnalysisOutcome(task.position, task.sha256, task.package,
-                                  analysis, error_slug(exc), str(exc))
+        outcome = _failed_outcome(task, exc)
     else:
         outcome = AnalysisOutcome(task.position, task.sha256, task.package,
                                   analysis)
@@ -488,12 +513,13 @@ class StaticAnalysisPipeline(ShardedStudy):
         return (("apk", self.cache), ("class", self.cache.classes))
 
     def prepare(self, max_apps=None, progress=None):
-        """Steps (1)-(2), then cache/download short-circuits per app.
+        """Steps (1)-(2), then the outcome-cache short-circuit per app.
 
         Returns ``(outcomes, tasks)``: ``outcomes`` is the
         selection-order list pre-filled at every short-circuited
         position (None where a task must run), ``tasks`` the
-        :class:`AnalysisTask` list for the scheduler.
+        :class:`AnalysisTask` list for the scheduler. Tasks carry the
+        repository's unresolved payloads; no APK is built here.
         """
         selected, funnel = self.select_apps()
         if max_apps is not None and len(selected) > max_apps:
@@ -523,18 +549,14 @@ class StaticAnalysisPipeline(ShardedStudy):
                 outcomes[position] = outcome
                 continue
             self._cache_misses.inc()
-            with bind_context(package=row.package), \
-                    self.obs.span("download", package=row.package):
-                try:
-                    data = self.corpus.repository.download(row.sha256)
-                except RepositoryError as exc:
-                    outcomes[position] = self._download_failure(
-                        position, row, listing, exc
-                    )
-                    continue
-            tasks.append(AnalysisTask(position, row.sha256, row.package,
-                                      data, listing.category,
-                                      listing.installs))
+            task = AnalysisTask(position, row.sha256, row.package, None,
+                                listing.category, listing.installs)
+            try:
+                task.source = self.corpus.repository.source(row.sha256)
+            except RepositoryError as exc:
+                outcomes[position] = _failed_outcome(task, exc)
+                continue
+            tasks.append(task)
         return outcomes, tasks
 
     def task_fn(self, inline):
@@ -568,17 +590,6 @@ class StaticAnalysisPipeline(ShardedStudy):
         analysis.failure_reason = lost_message(self.exec_config)
         return AnalysisOutcome(task.position, task.sha256, task.package,
                                analysis)
-
-    def _download_failure(self, position, row, listing, exc):
-        """Fault isolation for step (2b): a failed download is one drop."""
-        analysis = AppAnalysis(row.package, category=listing.category,
-                               installs=listing.installs)
-        analysis.failed = True
-        analysis.failure_reason = str(exc)
-        outcome = AnalysisOutcome(position, row.sha256, row.package,
-                                  analysis, error_slug(exc), str(exc))
-        outcome.cacheable = False  # downloads are retried next run
-        return outcome
 
     def merge(self, outcome):
         """Fold one outcome into the study result (selection order)."""

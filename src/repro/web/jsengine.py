@@ -573,8 +573,16 @@ class _Parser:
 
 
 def parse_js(source):
-    """Parse JS source into an AST (a nested tuple tree)."""
-    return _Parser(_tokenize(source)).parse_program()
+    """Parse JS source into an AST (a nested tuple tree).
+
+    Nesting deeper than the interpreter's recursion limit raises
+    :class:`JsSyntaxError`; the check costs nothing on the hot path
+    because it is only made here, at the entry point.
+    """
+    try:
+        return _Parser(_tokenize(source)).parse_program()
+    except RecursionError:
+        raise JsSyntaxError("nesting too deep") from None
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.androzoo import fetch
 from repro.apk import ZipReader, ZipWriter
 from repro.apk.container import (
     DEX_ENTRY,
@@ -38,7 +39,7 @@ from repro.errors import (
     NetworkError,
     error_slug,
 )
-from repro.exec import AnalysisCache
+from repro.exec import AnalysisCache, ExecConfig
 from repro.obs import DROPS_METRIC, Obs
 from repro.netstack.network import Network, Request
 from repro.static_analysis import StaticAnalysisPipeline
@@ -166,6 +167,22 @@ def _mutated_apk(data, mutation):
     return _signed_container(manifest_bytes, dex_bytes)
 
 
+class _HostileSource:
+    """A repository payload that builds an APK, then mutates it.
+
+    Module-level and holding only the wrapped payload and the mutation's
+    name, so it pickles into a process-pool task like the lazy build it
+    wraps.
+    """
+
+    def __init__(self, source, mutation):
+        self.source = source
+        self.mutation = mutation
+
+    def __call__(self):
+        return _mutated_apk(fetch(self.source), self.mutation)
+
+
 class TestHostileBytes:
     """Undecodable strings and non-integer attributes stay in the taxonomy."""
 
@@ -205,10 +222,21 @@ class TestHostileBytes:
 
     def test_study_with_k_hostile_apks_has_k_more_drops(self):
         """A seeded study with K hostile APKs: exactly K more drops."""
+        self._assert_k_more_drops(exec_config=None)
+
+    def test_hostile_apks_resolved_in_workers_are_k_more_drops(self):
+        """The same on the process backend: workers build the hostile
+        bytes when they resolve each task's payload."""
+        self._assert_k_more_drops(
+            ExecConfig(max_workers=2, backend="process"))
+
+    def _assert_k_more_drops(self, exec_config):
         corpus = generate_corpus(CorpusConfig(universe_size=1_500, seed=31))
+        payloads = corpus.repository._payloads
 
         def run():
             pipeline = StaticAnalysisPipeline(corpus, obs=Obs(),
+                                              exec_config=exec_config,
                                               cache=AnalysisCache())
             result = pipeline.run(max_apps=12)
             drops = pipeline.obs.registry.label_values(DROPS_METRIC)
@@ -217,19 +245,13 @@ class TestHostileBytes:
         clean, clean_drops = run()
         victims = [a.sha256 for a in clean.analyses if not a.failed]
         hostile = dict(zip(victims, sorted(_MUTATIONS)))
-        download = corpus.repository.download
-
-        def hostile_download(sha256):
-            data = download(sha256)
-            if sha256 in hostile:
-                return _mutated_apk(data, hostile[sha256])
-            return data
-
-        corpus.repository.download = hostile_download
+        originals = {sha256: payloads[sha256] for sha256 in hostile}
+        for sha256, mutation in hostile.items():
+            payloads[sha256] = _HostileSource(originals[sha256], mutation)
         try:
             mutated, drops = run()
         finally:
-            del corpus.repository.download
+            payloads.update(originals)
         k = len(hostile)
         assert k == 3
         assert sum(drops.values()) == sum(clean_drops.values()) + k

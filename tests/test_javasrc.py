@@ -13,6 +13,7 @@ from repro.javasrc import (
     generate_source,
     parse_java,
     tokenize,
+    try_parse_java,
 )
 from repro.javasrc import ast
 
@@ -255,6 +256,14 @@ class TestParser:
         with pytest.raises(JavaSyntaxError) as excinfo:
             parse_java("package a; public class C { void m() { x +; } }")
         assert excinfo.value.line is not None
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        depth = 3_000
+        source = ("class C { void m() { int x = " + "(" * depth + "1"
+                  + ")" * depth + "; } }")
+        with pytest.raises(JavaSyntaxError, match="nesting too deep"):
+            parse_java(source)
+        assert try_parse_java(source) is None
 
     def test_ternary_and_array_access(self):
         unit = parse_java("""

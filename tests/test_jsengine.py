@@ -15,6 +15,7 @@ from repro.web.jsengine import (
     UNDEFINED,
     default_script_cache,
     json_stringify,
+    parse_js,
     record_script_events,
     run_script,
     script_cache_key,
@@ -184,6 +185,11 @@ class TestStatements:
     def test_syntax_error(self):
         with pytest.raises(JsSyntaxError):
             run_script("var = 1;")
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        depth = 3_000
+        with pytest.raises(JsSyntaxError, match="nesting too deep"):
+            parse_js("x = " + "(" * depth + "1" + ")" * depth + ";")
 
     def test_execution_budget(self):
         with pytest.raises(JsRuntimeError):

@@ -264,16 +264,14 @@ class TestParallelExecution:
         assert len(rows) >= 2
 
         # One app whose APK bytes are corrupt, one whose download fails.
-        corpus.repository._payloads[rows[0].sha256] = b"garbage, not an apk"
-
-        def refuse():
-            raise RepositoryError("mirror offline")
-
-        corpus.repository._payloads[rows[1].sha256] = refuse
+        payloads = corpus.repository._payloads
+        refused = payloads[rows[1].sha256]
+        payloads[rows[0].sha256] = b"garbage, not an apk"
+        payloads[rows[1].sha256] = _refuse
 
         obs = Obs()
-        pipeline = StaticAnalysisPipeline(corpus, obs=obs,
-                                          cache=AnalysisCache())
+        cache = AnalysisCache()
+        pipeline = StaticAnalysisPipeline(corpus, obs=obs, cache=cache)
         result = pipeline.run()
 
         # Both sabotaged apps were isolated, not fatal.
@@ -287,6 +285,49 @@ class TestParallelExecution:
         # is either analyzed or accounted for by exactly one drop reason.
         listed = obs.registry.value(APPS_LISTED_METRIC)
         assert sum(drops.values()) == listed - result.analyzed
+
+        # The failed download was not cached: with the mirror back, a
+        # rerun on the same cache analyzes that app.
+        payloads[rows[1].sha256] = refused
+        rerun = StaticAnalysisPipeline(corpus, obs=Obs(), cache=cache).run()
+        by_sha256 = {analysis.sha256: analysis
+                     for analysis in rerun.analyses}
+        assert not by_sha256[rows[1].sha256].failed
+        assert rerun.analyzed == result.analyzed + 1
+
+    def test_workers_build_apks_not_the_parent(self):
+        """On the process backend the parent never resolves a payload."""
+        from repro.exec import AnalysisCache, ExecConfig
+        from repro.obs import Obs
+        from repro.static_analysis.export import export_study_json
+
+        def study(**exec_options):
+            corpus = generate_corpus(CorpusConfig(universe_size=1_500,
+                                                  seed=77))
+            lazy = [sha256 for sha256, payload
+                    in corpus.repository._payloads.items()
+                    if callable(payload)]
+            pipeline = StaticAnalysisPipeline(
+                corpus, obs=Obs(), cache=AnalysisCache(),
+                exec_config=ExecConfig(**exec_options),
+            )
+            return corpus, lazy, export_study_json(pipeline.run())
+
+        corpus, lazy, forked = study(max_workers=2, backend="process",
+                                     chunk_size=2)
+        assert len(lazy) >= 10
+        assert corpus.repository.downloads_served == 0
+        assert all(callable(corpus.repository._payloads[sha256])
+                   for sha256 in lazy)
+        _, _, inline = study(max_workers=1)
+        assert forked == inline
+
+
+def _refuse():
+    """A repository payload whose download fails (picklable)."""
+    from repro.errors import RepositoryError
+
+    raise RepositoryError("mirror offline")
 
 
 class TestReports:

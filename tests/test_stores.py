@@ -4,7 +4,7 @@ import datetime
 
 import pytest
 
-from repro.androzoo import AndroZooRepository
+from repro.androzoo import AndroZooRepository, fetch
 from repro.androzoo.repository import PLAY_MARKET
 from repro.errors import AppNotFoundError, RepositoryError
 from repro.playstore import (
@@ -128,6 +128,26 @@ class TestAndroZoo:
     def test_unknown_sha_raises(self):
         with pytest.raises(RepositoryError):
             AndroZooRepository().download("f" * 64)
+        with pytest.raises(RepositoryError):
+            AndroZooRepository().source("f" * 64)
+
+    def test_source_stays_unresolved_until_fetched(self):
+        calls = []
+
+        def make():
+            calls.append(1)
+            return b"lazy"
+
+        repo = AndroZooRepository()
+        row = repo.archive("com.x", 1, "2022-01-01", make)
+        source = repo.source(row.sha256)
+        assert source is make
+        assert fetch(source) == b"lazy"
+        assert fetch(b"eager") == b"eager"
+        # Fetching a source leaves the repository as it was.
+        assert repo.source(row.sha256) is make
+        assert repo.downloads_served == 0
+        assert len(calls) == 1
 
     def test_snapshot_packages_by_market(self):
         repo = AndroZooRepository()
