@@ -25,6 +25,10 @@ _STRING_ESCAPES = {
 
 
 def _escape_string(value):
+    if (value.isascii() and value.isprintable() and '"' not in value
+            and "\\" not in value):
+        # Printable ASCII without quote or backslash: nothing to escape.
+        return '"%s"' % value
     out = []
     for char in value:
         if char in _STRING_ESCAPES:

@@ -59,10 +59,16 @@ class Node:
             self.parent = None
 
     def iter_subtree(self):
-        yield self
-        for child in self.children:
-            for node in child.iter_subtree():
-                yield node
+        """This node and its descendants in document (pre-)order.
+
+        Iterative, so nesting depth is bounded by memory, not by
+        Python's recursion limit.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def text_content(self):
         parts = []

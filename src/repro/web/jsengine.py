@@ -1,4 +1,4 @@
-"""A JavaScript interpreter for the subset the IAB injections use.
+"""A JavaScript engine for the subset the IAB injections use.
 
 The injected scripts the paper captures (Facebook's autofill loader, DOM
 tag counters, simHash probes, ad bootstrap code) are real JS; this module
@@ -15,18 +15,30 @@ and index access, array/object literals, and string/array/number builtins.
 Values map to Python: ``null`` -> None, numbers -> float, plus the
 :data:`UNDEFINED` sentinel. Bitwise operators coerce through int32 like JS.
 
-Parsing is memoized corpus-wide: the same ~dozen injected scripts are
+Execution is compiled: the parser's AST (nested tuples) compiles once
+into Python closures, one per node, each taking ``(interp, scope)`` with
+its node kind, operator and children resolved at compile time. Every
+closure counts one interpreter step for its node, in the order of a
+per-node tree walk, so ``JsInterpreter.steps`` and the ``MAX_STEPS``
+budget are exact and evaluator-independent (``tests/test_js_golden.py``
+pins them). Function values keep their AST; the interpreter finds a
+function's compiled body in the table of the program that defined it.
+
+Compilation is memoized corpus-wide: the same ~dozen injected scripts are
 evaluated against every one of the 100 crawled sites, so
-:class:`ScriptCache` keys tokenize+parse output on the script's SHA-256
-and hands the (read-only) AST back to each execution. Interpreter state
-stays strictly per-execution. ``REPRO_SCRIPT_CACHE=0`` disables the
-cache; ``REPRO_CACHE_MAX_ENTRIES`` bounds it, following the conventions
-of the static pipeline's class-facts cache.
+:class:`ScriptCache` keys tokenize+parse+compile output on the script's
+SHA-256 (plus the taint mode) and hands the compiled program, which holds
+no interpreter state, to each execution. Interpreter state stays strictly
+per-execution. ``REPRO_SCRIPT_CACHE=0`` disables the cache (every run
+compiles afresh); ``REPRO_CACHE_MAX_ENTRIES`` bounds it, following the
+conventions of the static pipeline's class-facts cache.
 """
 
 import contextlib
 import contextvars
 import hashlib
+import math
+import operator
 import time
 
 from repro.errors import JsRuntimeError, JsSyntaxError
@@ -594,8 +606,18 @@ def script_digest(source):
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
+def _compile_source(source):
+    """Parse and compile one script into a :class:`_Program`."""
+    ast = parse_js(source)
+    try:
+        return _compile_program(ast)
+    except RecursionError:
+        raise JsSyntaxError("nesting too deep") from None
+
+
 class _ScriptEntry:
-    """One cached program: the parsed AST plus its measured parse cost."""
+    """One cached program: the compiled script plus its measured
+    parse-and-compile cost."""
 
     __slots__ = ("program", "cost_s")
 
@@ -605,11 +627,12 @@ class _ScriptEntry:
 
 
 class ScriptCache:
-    """Corpus-wide memo of tokenize+parse output, keyed on script SHA-256.
+    """Corpus-wide memo of compiled scripts, keyed on script SHA-256.
 
-    The AST is a nested tuple tree the interpreter never mutates, so one
-    parse can back every execution of the same script across apps and
-    sites. Only parsing is shared — scopes, globals, and all other
+    A compiled program (:class:`_Program`: the AST plus its closures)
+    holds no interpreter state — closures take the interpreter and scope
+    as arguments — so one parse and compile can back every execution of
+    the same script across apps and sites. Scopes, globals, and all other
     interpreter state stay per-execution. Bounded by
     ``REPRO_CACHE_MAX_ENTRIES`` (unbounded by default) with eviction
     accounting, like the static pipeline's class-facts cache.
@@ -631,7 +654,8 @@ class ScriptCache:
         self._store.put(digest, _ScriptEntry(program, cost_s))
 
     def parse(self, source):
-        """Parse through the cache, with hit/miss/time-saved accounting.
+        """The AST of a script, compiled through the cache, with
+        hit/miss/time-saved accounting.
 
         Convenience entry point for benchmarks and tests; the
         interpreter's hot path (:func:`_parse_for_run`) shares the store
@@ -642,12 +666,12 @@ class ScriptCache:
         if entry is not None:
             self.hits += 1
             self.time_saved_s += entry.cost_s
-            return entry.program
+            return entry.program.ast
         started = time.perf_counter()
-        program = parse_js(source)
+        program = _compile_source(source)
         self.store(digest, program, time.perf_counter() - started)
         self.misses += 1
-        return program
+        return program.ast
 
     @property
     def evictions(self):
@@ -736,7 +760,9 @@ def script_cache_key(digest, taint):
 
 
 def _parse_for_run(source):
-    """Parse for execution, through the compiled cache when enabled.
+    """Parse and compile for execution, through the cache when enabled.
+
+    With the cache off every run compiles afresh.
 
     Clock parity: exactly two ambient clock reads happen per call in
     every mode (hit, miss, cache off), so a deterministic tick clock
@@ -748,7 +774,7 @@ def _parse_for_run(source):
     cache = default_script_cache() if _cache_enabled() else None
     entry = cache.lookup(key) if cache is not None else None
     started = clock()
-    program = entry.program if entry is not None else parse_js(source)
+    program = entry.program if entry is not None else _compile_source(source)
     elapsed = clock() - started
     if cache is not None:
         if entry is not None:
@@ -773,11 +799,13 @@ def _parse_for_run(source):
 # in ``str``/``float`` subclasses that carry a frozenset of labels;
 # labels survive the coercions the evaluator already performs (equality,
 # truthiness, ``to_string`` on strings) because the wrappers ARE their
-# base type. Propagation happens at the ``+`` operator — the string
-# concatenation every exfiltration payload is assembled with — plus the
-# ``JSON.stringify``/``encodeURIComponent`` builtins, and is gated on a
-# per-interpreter flag resolved from ``REPRO_TAINT`` so uninstrumented
-# runs execute the exact same code paths as before.
+# base type. Propagation happens in ``_op_add``, the ``+`` operator (and
+# ``+=``) — the string concatenation every exfiltration payload is
+# assembled with — plus the ``JSON.stringify``/``encodeURIComponent``
+# builtins, and is gated on a per-interpreter flag resolved from
+# ``REPRO_TAINT``. The compiled closures are the same in both modes; a
+# plain-float ``+`` returns before the flag is read, and float
+# arithmetic drops labels (``TaintedNum`` goes through ``float()``).
 
 class TaintedStr(str):
     """A string carrying taint labels; behaves exactly like ``str``."""
@@ -996,39 +1024,8 @@ class _Scope:
             scope = scope.parent
         raise JsRuntimeError("%s is not defined" % name)
 
-    def assign(self, name, value):
-        scope = self
-        while scope is not None:
-            if name in scope.vars:
-                scope.vars[name] = value
-                return
-            scope = scope.parent
-        # Implicit global, like sloppy-mode JS.
-        root = self
-        while root.parent is not None:
-            root = root.parent
-        root.vars[name] = value
-
     def declare(self, name, value):
         self.vars[name] = value
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-class _Thrown(Exception):
-    def __init__(self, value):
-        self.value = value
 
 
 def _number_to_string(value):
@@ -1060,6 +1057,8 @@ def to_string(value):
 
 
 def truthy(value):
+    if type(value) is float:
+        return value != 0 and value == value  # NaN is falsy
     if value is UNDEFINED or value is None:
         return False
     if isinstance(value, bool):
@@ -1072,6 +1071,8 @@ def truthy(value):
 
 
 def to_number(value):
+    if type(value) is float:
+        return value
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, (int, float)):
@@ -1086,9 +1087,14 @@ def to_number(value):
     return float("nan")
 
 
+_INF = float("inf")
+_NEG_INF = float("-inf")
+_NAN = float("nan")
+
+
 def _to_int32(value):
-    number = to_number(value)
-    if number != number or number in (float("inf"), float("-inf")):
+    number = value if type(value) is float else to_number(value)
+    if number != number or number == _INF or number == _NEG_INF:
         return 0
     result = int(number) & 0xFFFFFFFF
     if result >= 0x80000000:
@@ -1147,16 +1153,27 @@ def json_parse(text):
 
 
 class JsInterpreter:
-    """Executes parsed JS against a set of host globals."""
+    """Executes compiled JS against a set of host globals."""
 
     MAX_STEPS = 2_000_000
+    #: JS call depth at which a call raises :class:`JsRuntimeError`, so a
+    #: script recursing without bound fails at a deterministic call. A
+    #: JS call takes three or more Python frames, so this stays under
+    #: Python's default limit of 1,000 frames for plain recursion.
+    MAX_CALL_DEPTH = 220
 
     def __init__(self, globals_map=None):
         self.global_scope = _Scope()
         self.steps = 0
         self.console_log = []
+        self._max_steps = self.MAX_STEPS
+        self._depth = 0
+        #: ``id(body)`` -> :class:`_FunctionCode` for every function body
+        #: of the programs this interpreter ran; each code object holds
+        #: its body, so the ids stay unique while the entry lives.
+        self._functions = {}
         # Resolved once per interpreter: taint-off runs pay one attribute
-        # read per propagation site and execute the historical code paths.
+        # read per propagation site.
         self._taint = taint_enabled()
         self._install_builtins()
         for name, value in (globals_map or {}).items():
@@ -1165,17 +1182,24 @@ class JsInterpreter:
     # -- public API -------------------------------------------------------------
 
     def run(self, source):
-        """Parse and execute; returns the value of the last expression
-        statement (or UNDEFINED)."""
+        """Compile (through the script cache) and execute; returns the
+        value of the last top-level expression statement (or UNDEFINED)."""
         program = _parse_for_run(source)
+        self._functions.update(program.functions)
+        scope = self.global_scope
         result = UNDEFINED
         try:
-            for statement in program[1]:
-                value = self.exec_statement(statement, self.global_scope)
-                if value is not _NO_VALUE:
+            for statement, is_expression in program.statements:
+                value = statement(self, scope)
+                if is_expression:
                     result = value
         except _Thrown as thrown:
             raise JsRuntimeError("uncaught: %s" % to_string(thrown.value))
+        except RecursionError:
+            # Last resort, as in parse_js: MAX_CALL_DEPTH bounds JS
+            # recursion, but natives that call back into JS (the array
+            # iteration methods) can still nest Python frames.
+            raise JsRuntimeError("maximum call stack size exceeded") from None
         return result
 
     def call_function(self, function, args, this=UNDEFINED):
@@ -1183,20 +1207,31 @@ class JsInterpreter:
             return function(list(args), this)
         if not isinstance(function, JsFunction):
             raise JsRuntimeError("%s is not a function" % to_string(function))
+        body = function.body
+        code = self._functions.get(id(body))
+        if code is None:
+            # A function made by another interpreter or program.
+            code = _compile_function(body)
+            self._functions[id(body)] = code
+        if self._depth >= self.MAX_CALL_DEPTH:
+            raise JsRuntimeError("maximum call stack size exceeded")
         scope = _Scope(function.scope)
-        scope.declare("this", this)
-        arguments = JsArray(list(args))
-        scope.declare("arguments", arguments)
+        variables = scope.vars
+        variables["this"] = this
+        variables["arguments"] = JsArray(list(args))
         for position, param in enumerate(function.params):
-            scope.declare(
-                param, args[position] if position < len(args) else UNDEFINED
-            )
-        self._hoist(function.body, scope)
+            variables[param] = (args[position] if position < len(args)
+                                else UNDEFINED)
+        for name, params, fn_body in code.hoisted:
+            variables[name] = JsFunction(name, params, fn_body, scope)
+        self._depth += 1
         try:
-            for statement in function.body:
-                self.exec_statement(statement, scope)
+            for statement in code.statements:
+                statement(self, scope)
         except _Return as ret:
             return ret.value
+        finally:
+            self._depth -= 1
         return UNDEFINED
 
     # -- builtins ------------------------------------------------------------------
@@ -1231,11 +1266,11 @@ class JsInterpreter:
         ))
         scope.declare("JSON", json_object)
 
-        math = JsObject({
+        math_object = JsObject({
             "floor": NativeFunction("floor", lambda a, t: float(
-                __import__("math").floor(to_number(a[0])))),
+                math.floor(to_number(a[0])))),
             "ceil": NativeFunction("ceil", lambda a, t: float(
-                __import__("math").ceil(to_number(a[0])))),
+                math.ceil(to_number(a[0])))),
             "round": NativeFunction("round", lambda a, t: float(
                 int(to_number(a[0]) + 0.5))),
             "abs": NativeFunction("abs", lambda a, t: abs(to_number(a[0]))),
@@ -1246,7 +1281,7 @@ class JsInterpreter:
             "pow": NativeFunction("pow", lambda a, t: to_number(a[0])
                                   ** to_number(a[1])),
         })
-        scope.declare("Math", math)
+        scope.declare("Math", math_object)
 
         native("parseInt", lambda a, t: _js_parse_int(a))
         native("parseFloat", lambda a, t: to_number(a[0]) if a else UNDEFINED)
@@ -1268,340 +1303,6 @@ class JsInterpreter:
         message = " ".join(to_string(a) for a in args)
         self.console_log.append((level, message))
         return UNDEFINED
-
-    # -- statements -------------------------------------------------------------
-
-    def _hoist(self, body, scope):
-        for statement in body:
-            if statement[0] == "funcdecl":
-                _, name, params, fn_body = statement
-                scope.declare(name, JsFunction(name, params, fn_body, scope))
-
-    def exec_statement(self, statement, scope):
-        self._step()
-        kind = statement[0]
-        if kind == "expr":
-            return self.eval(statement[1], scope)
-        if kind == "var":
-            for name, init in statement[1]:
-                value = UNDEFINED if init is None else self.eval(init, scope)
-                scope.declare(name, value)
-            return _NO_VALUE
-        if kind == "funcdecl":
-            _, name, params, body = statement
-            scope.declare(name, JsFunction(name, params, body, scope))
-            return _NO_VALUE
-        if kind == "return":
-            value = UNDEFINED
-            if statement[1] is not None:
-                value = self.eval(statement[1], scope)
-            raise _Return(value)
-        if kind == "if":
-            _, condition, then_branch, else_branch = statement
-            if truthy(self.eval(condition, scope)):
-                self.exec_statement(then_branch, scope)
-            elif else_branch is not None:
-                self.exec_statement(else_branch, scope)
-            return _NO_VALUE
-        if kind == "block":
-            for inner in statement[1]:
-                self.exec_statement(inner, scope)
-            return _NO_VALUE
-        if kind == "while":
-            _, condition, body = statement
-            while truthy(self.eval(condition, scope)):
-                self._step()
-                try:
-                    self.exec_statement(body, scope)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-            return _NO_VALUE
-        if kind == "for":
-            _, init, condition, update, body = statement
-            if init is not None:
-                self.exec_statement(init, scope)
-            while condition is None or truthy(self.eval(condition, scope)):
-                self._step()
-                try:
-                    self.exec_statement(body, scope)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-                if update is not None:
-                    self.eval(update, scope)
-            return _NO_VALUE
-        if kind == "forin":
-            _, name, target, body = statement
-            obj = self.eval(target, scope)
-            keys = []
-            if isinstance(obj, JsObject):
-                keys = obj.keys()
-            elif isinstance(obj, JsArray):
-                keys = [_number_to_string(float(i))
-                        for i in range(len(obj.elements))]
-            for key in keys:
-                scope.declare(name, key)
-                try:
-                    self.exec_statement(body, scope)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-            return _NO_VALUE
-        if kind == "break":
-            raise _Break()
-        if kind == "continue":
-            raise _Continue()
-        if kind == "throw":
-            raise _Thrown(self.eval(statement[1], scope))
-        if kind == "try":
-            _, try_body, catch_name, catch_body, finally_body = statement
-            try:
-                for inner in try_body:
-                    self.exec_statement(inner, scope)
-            except _Thrown as thrown:
-                if catch_body is None:
-                    raise
-                catch_scope = _Scope(scope)
-                if catch_name:
-                    catch_scope.declare(catch_name, thrown.value)
-                for inner in catch_body:
-                    self.exec_statement(inner, catch_scope)
-            finally:
-                if finally_body:
-                    for inner in finally_body:
-                        self.exec_statement(inner, scope)
-            return _NO_VALUE
-        if kind == "empty":
-            return _NO_VALUE
-        raise JsRuntimeError("unknown statement kind %r" % kind)
-
-    # -- expressions ------------------------------------------------------------
-
-    def eval(self, node, scope):
-        self._step()
-        kind = node[0]
-        if kind == "lit":
-            value = node[1]
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return float(value)
-            return value
-        if kind == "name":
-            return scope.lookup(node[1])
-        if kind == "this":
-            try:
-                return scope.lookup("this")
-            except JsRuntimeError:
-                return UNDEFINED
-        if kind == "array":
-            return JsArray([self.eval(e, scope) for e in node[1]])
-        if kind == "object":
-            obj = JsObject()
-            for key, value_node in node[1]:
-                obj.set(key, self.eval(value_node, scope))
-            return obj
-        if kind == "funcexpr":
-            _, name, params, body = node
-            return JsFunction(name, params, body, scope)
-        if kind == "member":
-            target = self.eval(node[1], scope)
-            return self.get_member(target, node[2])
-        if kind == "index":
-            target = self.eval(node[1], scope)
-            index = self.eval(node[2], scope)
-            return self.get_index(target, index)
-        if kind == "call":
-            return self._eval_call(node, scope)
-        if kind == "new":
-            callee = self.eval(node[1], scope)
-            args = [self.eval(a, scope) for a in node[2]]
-            if isinstance(callee, (JsFunction, NativeFunction)):
-                this = JsObject()
-                result = self.call_function(callee, args, this)
-                return result if result is not UNDEFINED else this
-            raise JsRuntimeError("not a constructor")
-        if kind == "assign":
-            return self._eval_assign(node, scope)
-        if kind == "ternary":
-            _, condition, if_true, if_false = node
-            branch = if_true if truthy(self.eval(condition, scope)) else if_false
-            return self.eval(branch, scope)
-        if kind == "binary":
-            return self._eval_binary(node, scope)
-        if kind == "unary":
-            _, operator, operand = node
-            value = self.eval(operand, scope)
-            if operator == "!":
-                return not truthy(value)
-            if operator == "-":
-                return -to_number(value)
-            if operator == "+":
-                return to_number(value)
-            if operator == "~":
-                return float(~_to_int32(value))
-        if kind == "typeof":
-            try:
-                value = self.eval(node[1], scope)
-            except JsRuntimeError:
-                return "undefined"
-            return _typeof(value)
-        if kind == "void":
-            self.eval(node[1], scope)
-            return UNDEFINED
-        if kind in ("preincr", "postincr"):
-            return self._eval_incr(node, scope)
-        if kind == "comma":
-            self.eval(node[1], scope)
-            return self.eval(node[2], scope)
-        raise JsRuntimeError("unknown expression kind %r" % kind)
-
-    def _eval_call(self, node, scope):
-        _, callee_node, arg_nodes = node
-        args = None
-        if callee_node[0] == "member":
-            this = self.eval(callee_node[1], scope)
-            function = self.get_member(this, callee_node[2])
-            args = [self.eval(a, scope) for a in arg_nodes]
-            return self.call_function(function, args, this)
-        if callee_node[0] == "index":
-            this = self.eval(callee_node[1], scope)
-            index = self.eval(callee_node[2], scope)
-            function = self.get_index(this, index)
-            args = [self.eval(a, scope) for a in arg_nodes]
-            return self.call_function(function, args, this)
-        function = self.eval(callee_node, scope)
-        args = [self.eval(a, scope) for a in arg_nodes]
-        return self.call_function(function, args)
-
-    def _eval_assign(self, node, scope):
-        _, operator, target, value_node = node
-        value = self.eval(value_node, scope)
-        if operator != "=":
-            current = self.eval(target, scope)
-            value = self._binary_op(operator[:-1], current, value)
-        self._store(target, value, scope)
-        return value
-
-    def _store(self, target, value, scope):
-        kind = target[0]
-        if kind == "name":
-            scope.assign(target[1], value)
-            return
-        if kind == "member":
-            obj = self.eval(target[1], scope)
-            self.set_member(obj, target[2], value)
-            return
-        if kind == "index":
-            obj = self.eval(target[1], scope)
-            index = self.eval(target[2], scope)
-            self.set_index(obj, index, value)
-            return
-        raise JsRuntimeError("invalid assignment target")
-
-    def _eval_incr(self, node, scope):
-        kind, operator, target = node
-        current = to_number(self.eval(target, scope))
-        updated = current + (1.0 if operator == "++" else -1.0)
-        self._store(target, updated, scope)
-        return updated if kind == "preincr" else current
-
-    def _eval_binary(self, node, scope):
-        _, operator, left_node, right_node = node
-        if operator == "&&":
-            left = self.eval(left_node, scope)
-            return self.eval(right_node, scope) if truthy(left) else left
-        if operator == "||":
-            left = self.eval(left_node, scope)
-            return left if truthy(left) else self.eval(right_node, scope)
-        left = self.eval(left_node, scope)
-        right = self.eval(right_node, scope)
-        return self._binary_op(operator, left, right)
-
-    def _binary_op(self, operator, left, right):
-        if operator == "+":
-            if isinstance(left, str) or isinstance(right, str):
-                result = to_string(left) + to_string(right)
-            else:
-                result = to_number(left) + to_number(right)
-            if self._taint:
-                # Hot path: plain getattr keeps the untainted-operands
-                # case (the overwhelming majority) free of calls.
-                labels = (getattr(left, "taint_labels", None),
-                          getattr(right, "taint_labels", None))
-                if labels[0] or labels[1]:
-                    result = taint_wrap(
-                        result, (labels[0] or frozenset())
-                        | (labels[1] or frozenset()))
-            return result
-        if operator == "-":
-            return to_number(left) - to_number(right)
-        if operator == "*":
-            return to_number(left) * to_number(right)
-        if operator == "/":
-            right_number = to_number(right)
-            if right_number == 0:
-                return float("inf") if to_number(left) > 0 else (
-                    float("-inf") if to_number(left) < 0 else float("nan")
-                )
-            return to_number(left) / right_number
-        if operator == "%":
-            right_number = to_number(right)
-            if right_number == 0:
-                return float("nan")
-            return float(
-                __import__("math").fmod(to_number(left), right_number)
-            )
-        if operator in ("==", "==="):
-            return self._equals(left, right)
-        if operator in ("!=", "!=="):
-            return not self._equals(left, right)
-        if operator in ("<", ">", "<=", ">="):
-            if isinstance(left, str) and isinstance(right, str):
-                pair = (left, right)
-            else:
-                pair = (to_number(left), to_number(right))
-            if operator == "<":
-                return pair[0] < pair[1]
-            if operator == ">":
-                return pair[0] > pair[1]
-            if operator == "<=":
-                return pair[0] <= pair[1]
-            return pair[0] >= pair[1]
-        if operator == "&":
-            return float(_to_int32(left) & _to_int32(right))
-        if operator == "|":
-            return float(_to_int32(left) | _to_int32(right))
-        if operator == "^":
-            return float(_to_int32(left) ^ _to_int32(right))
-        if operator == "<<":
-            return float(_to_int32(_to_int32(left) << (_to_int32(right) & 31)))
-        if operator == ">>":
-            return float(_to_int32(left) >> (_to_int32(right) & 31))
-        if operator == ">>>":
-            return float((_to_int32(left) & 0xFFFFFFFF) >> (
-                _to_int32(right) & 31))
-        if operator == "in":
-            if isinstance(right, JsObject):
-                return to_string(left) in right.properties
-            return False
-        if operator == "instanceof":
-            return False
-        raise JsRuntimeError("unsupported operator %r" % operator)
-
-    @staticmethod
-    def _equals(left, right):
-        if isinstance(left, bool) or isinstance(right, bool):
-            return left is right
-        if left is UNDEFINED and right is None:
-            return False
-        if left is None and right is UNDEFINED:
-            return False
-        if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-            return float(left) == float(right)
-        return left is right or left == right
 
     # -- member access ------------------------------------------------------------
 
@@ -1673,13 +1374,897 @@ class JsInterpreter:
             return
         raise JsRuntimeError("cannot index-assign %s" % to_string(target))
 
-    def _step(self):
-        self.steps += 1
-        if self.steps > self.MAX_STEPS:
-            raise JsRuntimeError("script exceeded execution budget")
+
+def _equals(left, right):
+    if isinstance(left, bool) or isinstance(right, bool):
+        return left is right
+    if left is UNDEFINED and right is None:
+        return False
+    if left is None and right is UNDEFINED:
+        return False
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        return float(left) == float(right)
+    return left is right or left == right
 
 
-_NO_VALUE = object()
+# ---------------------------------------------------------------------------
+# Operators
+# ---------------------------------------------------------------------------
+#
+# One function per binary operator, ``op(interp, left, right)``, resolved
+# when the operator's node is compiled. Only ``+`` reads the interpreter
+# (its taint flag). The arithmetic, equality and relational operators
+# start with a plain-float fast path that returns what the general path
+# would.
+
+def _op_add(interp, left, right):
+    if type(left) is float and type(right) is float:
+        return left + right
+    if isinstance(left, str) or isinstance(right, str):
+        result = to_string(left) + to_string(right)
+    else:
+        result = to_number(left) + to_number(right)
+    if interp._taint:
+        # Hot path: plain getattr keeps the untainted-operands case (the
+        # overwhelming majority) free of calls.
+        labels = (getattr(left, "taint_labels", None),
+                  getattr(right, "taint_labels", None))
+        if labels[0] or labels[1]:
+            result = taint_wrap(
+                result, (labels[0] or frozenset())
+                | (labels[1] or frozenset()))
+    return result
+
+
+def _op_sub(interp, left, right):
+    if type(left) is float and type(right) is float:
+        return left - right
+    return to_number(left) - to_number(right)
+
+
+def _op_mul(interp, left, right):
+    if type(left) is float and type(right) is float:
+        return left * right
+    return to_number(left) * to_number(right)
+
+
+def _op_div(interp, left, right):
+    right_number = to_number(right)
+    if right_number == 0:
+        return _INF if to_number(left) > 0 else (
+            _NEG_INF if to_number(left) < 0 else _NAN
+        )
+    return to_number(left) / right_number
+
+
+def _op_mod(interp, left, right):
+    right_number = to_number(right)
+    if right_number == 0:
+        return _NAN
+    return math.fmod(to_number(left), right_number)
+
+
+def _op_eq(interp, left, right):
+    if type(left) is float and type(right) is float:
+        return left == right
+    return _equals(left, right)
+
+
+def _op_ne(interp, left, right):
+    if type(left) is float and type(right) is float:
+        return left != right
+    return not _equals(left, right)
+
+
+def _relational(compare):
+    def op(interp, left, right):
+        if type(left) is float and type(right) is float:
+            return compare(left, right)
+        if isinstance(left, str) and isinstance(right, str):
+            return compare(left, right)
+        return compare(to_number(left), to_number(right))
+    return op
+
+
+def _op_and(interp, left, right):
+    return float(_to_int32(left) & _to_int32(right))
+
+
+def _op_or(interp, left, right):
+    return float(_to_int32(left) | _to_int32(right))
+
+
+def _op_xor(interp, left, right):
+    return float(_to_int32(left) ^ _to_int32(right))
+
+
+def _op_shl(interp, left, right):
+    return float(_to_int32(_to_int32(left) << (_to_int32(right) & 31)))
+
+
+def _op_sar(interp, left, right):
+    return float(_to_int32(left) >> (_to_int32(right) & 31))
+
+
+def _op_shr(interp, left, right):
+    return float((_to_int32(left) & 0xFFFFFFFF) >> (_to_int32(right) & 31))
+
+
+def _op_in(interp, left, right):
+    if isinstance(right, JsObject):
+        return to_string(left) in right.properties
+    return False
+
+
+def _op_instanceof(interp, left, right):
+    return False
+
+
+_BINARY_OPS = {
+    "+": _op_add, "-": _op_sub, "*": _op_mul, "/": _op_div, "%": _op_mod,
+    "==": _op_eq, "===": _op_eq, "!=": _op_ne, "!==": _op_ne,
+    "<": _relational(operator.lt), ">": _relational(operator.gt),
+    "<=": _relational(operator.le), ">=": _relational(operator.ge),
+    "&": _op_and, "|": _op_or, "^": _op_xor,
+    "<<": _op_shl, ">>": _op_sar, ">>>": _op_shr,
+    "in": _op_in, "instanceof": _op_instanceof,
+}
+
+
+# ---------------------------------------------------------------------------
+# Closure compiler
+# ---------------------------------------------------------------------------
+#
+# Each AST node compiles once into a closure ``fn(interp, scope)`` whose
+# node kind, operator and child closures are resolved at compile time.
+# Every closure first takes the node's one step (inlined: a call per
+# step would cost as much as the node), then evaluates its children in
+# source order. Step parity with a tree walk that steps once per node
+# visit is what the golden tests pin: ``interp.steps`` is the same after
+# every run, so MAX_STEPS trips at the same step whatever the closures
+# do inside.
+#
+# A statement closure returns its expression's value for an expression
+# statement; run() keeps the last top-level one. break, continue, return
+# and throw are Python exceptions.
+
+class _Break(Exception):
+    pass
+
+
+class _Continue(Exception):
+    pass
+
+
+class _Return(Exception):
+    def __init__(self, value):
+        self.value = value
+
+
+class _Thrown(Exception):
+    def __init__(self, value):
+        self.value = value
+
+
+_BUDGET_MESSAGE = "script exceeded execution budget"
+
+
+class _FunctionCode:
+    """A compiled function body: its hoisted declarations and statements.
+
+    Holds the body AST too, which keeps ``id(body)`` unique for as long
+    as an interpreter's ``_functions`` table holds the code.
+    """
+
+    __slots__ = ("body", "hoisted", "statements")
+
+    def __init__(self, body, hoisted, statements):
+        self.body = body
+        self.hoisted = hoisted
+        self.statements = statements
+
+
+class _Program:
+    """A compiled script, as the script cache stores it.
+
+    ``statements`` pairs each top-level statement's closure with whether
+    it is an expression statement (whose value run() returns);
+    ``functions`` maps ``id(body)`` of every function in the script to
+    its :class:`_FunctionCode`.
+    """
+
+    __slots__ = ("ast", "statements", "functions")
+
+    def __init__(self, ast, statements, functions):
+        self.ast = ast
+        self.statements = statements
+        self.functions = functions
+
+
+def _compile_program(ast):
+    """Compile a parsed program (the output of :func:`parse_js`)."""
+    compiler = _Compiler()
+    statements = tuple(
+        (compiler.statement(node), node[0] == "expr") for node in ast[1]
+    )
+    return _Program(ast, statements, compiler.functions)
+
+
+def _compile_function(body):
+    return _Compiler().function(body)
+
+
+class _Compiler:
+    def __init__(self):
+        self.functions = {}
+
+    def function(self, body):
+        hoisted = tuple(
+            (node[1], node[2], node[3]) for node in body
+            if node[0] == "funcdecl"
+        )
+        code = _FunctionCode(
+            body, hoisted, tuple(self.statement(node) for node in body))
+        self.functions[id(body)] = code
+        return code
+
+    def statement(self, node):
+        return _STATEMENTS[node[0]](self, node)
+
+    def expression(self, node):
+        return _EXPRESSIONS[node[0]](self, node)
+
+    def store(self, target):
+        """``store(interp, scope, value)`` for an assignment target."""
+        kind = target[0]
+        if kind == "name":
+            name = target[1]
+
+            def store(interp, scope, value):
+                root = scope
+                while scope is not None:
+                    variables = scope.vars
+                    if name in variables:
+                        variables[name] = value
+                        return
+                    root = scope
+                    scope = scope.parent
+                # Implicit global, like sloppy-mode JS.
+                root.vars[name] = value
+            return store
+        if kind == "member":
+            obj = self.expression(target[1])
+            name = target[2]
+
+            def store(interp, scope, value):
+                interp.set_member(obj(interp, scope), name, value)
+            return store
+        if kind == "index":
+            obj = self.expression(target[1])
+            index = self.expression(target[2])
+
+            def store(interp, scope, value):
+                container = obj(interp, scope)
+                key = index(interp, scope)
+                if type(container) is JsArray and type(key) is float:
+                    position = int(key)
+                    elements = container.elements
+                    if 0 <= position < len(elements):
+                        elements[position] = value
+                        return
+                interp.set_index(container, key, value)
+            return store
+
+        def store(interp, scope, value):
+            raise JsRuntimeError("invalid assignment target")
+        return store
+
+
+# -- statements ---------------------------------------------------------------
+
+def _c_expr_statement(c, node):
+    expression = c.expression(node[1])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        return expression(interp, scope)
+    return run
+
+
+def _c_var(c, node):
+    declarations = tuple(
+        (name, None if init is None else c.expression(init))
+        for name, init in node[1]
+    )
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        for name, init in declarations:
+            scope.vars[name] = (UNDEFINED if init is None
+                                else init(interp, scope))
+    return run
+
+
+def _c_funcdecl(c, node):
+    _, name, params, body = node
+    c.function(body)
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        scope.vars[name] = JsFunction(name, params, body, scope)
+    return run
+
+
+def _c_return(c, node):
+    expression = None if node[1] is None else c.expression(node[1])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        raise _Return(UNDEFINED if expression is None
+                      else expression(interp, scope))
+    return run
+
+
+def _c_if(c, node):
+    _, condition_node, then_node, else_node = node
+    condition = c.expression(condition_node)
+    then_branch = c.statement(then_node)
+    else_branch = None if else_node is None else c.statement(else_node)
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        value = condition(interp, scope)
+        if value if type(value) is bool else truthy(value):
+            then_branch(interp, scope)
+        elif else_branch is not None:
+            else_branch(interp, scope)
+    return run
+
+
+def _c_block(c, node):
+    statements = tuple(c.statement(inner) for inner in node[1])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        for statement in statements:
+            statement(interp, scope)
+    return run
+
+
+def _c_while(c, node):
+    condition = c.expression(node[1])
+    body = c.statement(node[2])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        while True:
+            value = condition(interp, scope)
+            if not (value if type(value) is bool else truthy(value)):
+                break
+            steps = interp.steps = interp.steps + 1
+            if steps > interp._max_steps:
+                raise JsRuntimeError(_BUDGET_MESSAGE)
+            try:
+                body(interp, scope)
+            except _Break:
+                break
+            except _Continue:
+                continue
+    return run
+
+
+def _c_for(c, node):
+    _, init_node, condition_node, update_node, body_node = node
+    init = None if init_node is None else c.statement(init_node)
+    condition = (None if condition_node is None
+                 else c.expression(condition_node))
+    update = None if update_node is None else c.expression(update_node)
+    body = c.statement(body_node)
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        if init is not None:
+            init(interp, scope)
+        while True:
+            if condition is not None:
+                value = condition(interp, scope)
+                if not (value if type(value) is bool else truthy(value)):
+                    break
+            steps = interp.steps = interp.steps + 1
+            if steps > interp._max_steps:
+                raise JsRuntimeError(_BUDGET_MESSAGE)
+            try:
+                body(interp, scope)
+            except _Break:
+                break
+            except _Continue:
+                pass
+            if update is not None:
+                update(interp, scope)
+    return run
+
+
+def _c_forin(c, node):
+    _, name, target_node, body_node = node
+    target = c.expression(target_node)
+    body = c.statement(body_node)
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        obj = target(interp, scope)
+        keys = []
+        if isinstance(obj, JsObject):
+            keys = obj.keys()
+        elif isinstance(obj, JsArray):
+            keys = [_number_to_string(float(i))
+                    for i in range(len(obj.elements))]
+        for key in keys:
+            scope.vars[name] = key
+            try:
+                body(interp, scope)
+            except _Break:
+                break
+            except _Continue:
+                continue
+    return run
+
+
+def _c_jump(exception_type):
+    def compile_jump(c, node):
+        def run(interp, scope):
+            steps = interp.steps = interp.steps + 1
+            if steps > interp._max_steps:
+                raise JsRuntimeError(_BUDGET_MESSAGE)
+            raise exception_type()
+        return run
+    return compile_jump
+
+
+def _c_throw(c, node):
+    expression = c.expression(node[1])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        raise _Thrown(expression(interp, scope))
+    return run
+
+
+def _c_try(c, node):
+    _, try_nodes, catch_name, catch_nodes, finally_nodes = node
+    try_body = tuple(c.statement(inner) for inner in try_nodes)
+    catch_body = (None if catch_nodes is None
+                  else tuple(c.statement(inner) for inner in catch_nodes))
+    finally_body = tuple(c.statement(inner)
+                         for inner in finally_nodes or ())
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        try:
+            for statement in try_body:
+                statement(interp, scope)
+        except _Thrown as thrown:
+            if catch_body is None:
+                raise
+            catch_scope = _Scope(scope)
+            if catch_name:
+                catch_scope.declare(catch_name, thrown.value)
+            for statement in catch_body:
+                statement(interp, catch_scope)
+        finally:
+            for statement in finally_body:
+                statement(interp, scope)
+    return run
+
+
+def _c_empty(c, node):
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+    return run
+
+
+_STATEMENTS = {
+    "expr": _c_expr_statement,
+    "var": _c_var,
+    "funcdecl": _c_funcdecl,
+    "return": _c_return,
+    "if": _c_if,
+    "block": _c_block,
+    "while": _c_while,
+    "for": _c_for,
+    "forin": _c_forin,
+    "break": _c_jump(_Break),
+    "continue": _c_jump(_Continue),
+    "throw": _c_throw,
+    "try": _c_try,
+    "empty": _c_empty,
+}
+
+
+# -- expressions --------------------------------------------------------------
+
+def _c_lit(c, node):
+    value = node[1]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = float(value)
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        return value
+    return run
+
+
+def _c_name(c, node):
+    name = node[1]
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        while scope is not None:
+            variables = scope.vars
+            if name in variables:
+                return variables[name]
+            scope = scope.parent
+        raise JsRuntimeError("%s is not defined" % name)
+    return run
+
+
+def _c_this(c, node):
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        while scope is not None:
+            variables = scope.vars
+            if "this" in variables:
+                return variables["this"]
+            scope = scope.parent
+        return UNDEFINED
+    return run
+
+
+def _c_array(c, node):
+    elements = tuple(c.expression(element) for element in node[1])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        return JsArray([element(interp, scope) for element in elements])
+    return run
+
+
+def _c_object(c, node):
+    pairs = tuple((key, c.expression(value)) for key, value in node[1])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        obj = JsObject()
+        properties = obj.properties
+        for key, value in pairs:
+            properties[key] = value(interp, scope)
+        return obj
+    return run
+
+
+def _c_funcexpr(c, node):
+    _, name, params, body = node
+    c.function(body)
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        return JsFunction(name, params, body, scope)
+    return run
+
+
+def _c_member(c, node):
+    obj = c.expression(node[1])
+    name = node[2]
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        target = obj(interp, scope)
+        if type(target) is JsObject:
+            return target.properties.get(name, UNDEFINED)
+        return interp.get_member(target, name)
+    return run
+
+
+def _c_index(c, node):
+    obj = c.expression(node[1])
+    index = c.expression(node[2])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        target = obj(interp, scope)
+        key = index(interp, scope)
+        if type(target) is JsArray and type(key) is float:
+            position = int(key)
+            elements = target.elements
+            if 0 <= position < len(elements):
+                return elements[position]
+            return UNDEFINED
+        return interp.get_index(target, key)
+    return run
+
+
+def _c_call(c, node):
+    _, callee_node, arg_nodes = node
+    args = tuple(c.expression(arg) for arg in arg_nodes)
+    callee_kind = callee_node[0]
+    if callee_kind in ("member", "index"):
+        # The callee node itself takes no step: its object is evaluated
+        # here so the call gets it as ``this``.
+        obj = c.expression(callee_node[1])
+        if callee_kind == "member":
+            name = callee_node[2]
+
+            def method(interp, scope, this):
+                return interp.get_member(this, name)
+        else:
+            index = c.expression(callee_node[2])
+
+            def method(interp, scope, this):
+                return interp.get_index(this, index(interp, scope))
+
+        def run(interp, scope):
+            steps = interp.steps = interp.steps + 1
+            if steps > interp._max_steps:
+                raise JsRuntimeError(_BUDGET_MESSAGE)
+            this = obj(interp, scope)
+            function = method(interp, scope, this)
+            values = [arg(interp, scope) for arg in args]
+            if type(function) is NativeFunction:
+                return function.fn(values, this)
+            return interp.call_function(function, values, this)
+        return run
+
+    callee = c.expression(callee_node)
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        function = callee(interp, scope)
+        values = [arg(interp, scope) for arg in args]
+        if type(function) is NativeFunction:
+            return function.fn(values, UNDEFINED)
+        return interp.call_function(function, values)
+    return run
+
+
+def _c_new(c, node):
+    callee = c.expression(node[1])
+    args = tuple(c.expression(arg) for arg in node[2])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        function = callee(interp, scope)
+        values = [arg(interp, scope) for arg in args]
+        if isinstance(function, (JsFunction, NativeFunction)):
+            this = JsObject()
+            result = interp.call_function(function, values, this)
+            return result if result is not UNDEFINED else this
+        raise JsRuntimeError("not a constructor")
+    return run
+
+
+def _c_assign(c, node):
+    _, operator_name, target, value_node = node
+    value_of = c.expression(value_node)
+    store = c.store(target)
+    if operator_name != "=":
+        op = _BINARY_OPS[operator_name[:-1]]
+        current_of = c.expression(target)
+
+        def run(interp, scope):
+            steps = interp.steps = interp.steps + 1
+            if steps > interp._max_steps:
+                raise JsRuntimeError(_BUDGET_MESSAGE)
+            value = value_of(interp, scope)
+            value = op(interp, current_of(interp, scope), value)
+            store(interp, scope, value)
+            return value
+        return run
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        value = value_of(interp, scope)
+        store(interp, scope, value)
+        return value
+    return run
+
+
+def _c_ternary(c, node):
+    _, condition_node, true_node, false_node = node
+    condition = c.expression(condition_node)
+    if_true = c.expression(true_node)
+    if_false = c.expression(false_node)
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        value = condition(interp, scope)
+        if value if type(value) is bool else truthy(value):
+            return if_true(interp, scope)
+        return if_false(interp, scope)
+    return run
+
+
+def _c_binary(c, node):
+    _, operator_name, left_node, right_node = node
+    left = c.expression(left_node)
+    right = c.expression(right_node)
+    if operator_name == "&&":
+        def run(interp, scope):
+            steps = interp.steps = interp.steps + 1
+            if steps > interp._max_steps:
+                raise JsRuntimeError(_BUDGET_MESSAGE)
+            value = left(interp, scope)
+            if value if type(value) is bool else truthy(value):
+                return right(interp, scope)
+            return value
+        return run
+    if operator_name == "||":
+        def run(interp, scope):
+            steps = interp.steps = interp.steps + 1
+            if steps > interp._max_steps:
+                raise JsRuntimeError(_BUDGET_MESSAGE)
+            value = left(interp, scope)
+            if value if type(value) is bool else truthy(value):
+                return value
+            return right(interp, scope)
+        return run
+    op = _BINARY_OPS[operator_name]
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        return op(interp, left(interp, scope), right(interp, scope))
+    return run
+
+
+def _c_unary(c, node):
+    _, operator_name, operand_node = node
+    operand = c.expression(operand_node)
+    convert = _UNARY_OPS[operator_name]
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        return convert(operand(interp, scope))
+    return run
+
+
+_UNARY_OPS = {
+    "!": lambda value: not (value if type(value) is bool
+                            else truthy(value)),
+    "-": lambda value: -value if type(value) is float else -to_number(value),
+    "+": to_number,
+    "~": lambda value: float(~_to_int32(value)),
+}
+
+
+def _c_typeof(c, node):
+    operand = c.expression(node[1])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        try:
+            value = operand(interp, scope)
+        except JsRuntimeError:
+            return "undefined"
+        return _typeof(value)
+    return run
+
+
+def _c_void(c, node):
+    operand = c.expression(node[1])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        operand(interp, scope)
+        return UNDEFINED
+    return run
+
+
+def _c_incr(c, node):
+    kind, operator_name, target = node
+    delta = 1.0 if operator_name == "++" else -1.0
+    prefix = kind == "preincr"
+    current_of = c.expression(target)
+    store = c.store(target)
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        current = to_number(current_of(interp, scope))
+        updated = current + delta
+        store(interp, scope, updated)
+        return updated if prefix else current
+    return run
+
+
+def _c_comma(c, node):
+    first = c.expression(node[1])
+    second = c.expression(node[2])
+
+    def run(interp, scope):
+        steps = interp.steps = interp.steps + 1
+        if steps > interp._max_steps:
+            raise JsRuntimeError(_BUDGET_MESSAGE)
+        first(interp, scope)
+        return second(interp, scope)
+    return run
+
+
+_EXPRESSIONS = {
+    "lit": _c_lit,
+    "name": _c_name,
+    "this": _c_this,
+    "array": _c_array,
+    "object": _c_object,
+    "funcexpr": _c_funcexpr,
+    "member": _c_member,
+    "index": _c_index,
+    "call": _c_call,
+    "new": _c_new,
+    "assign": _c_assign,
+    "ternary": _c_ternary,
+    "binary": _c_binary,
+    "unary": _c_unary,
+    "typeof": _c_typeof,
+    "void": _c_void,
+    "preincr": _c_incr,
+    "postincr": _c_incr,
+    "comma": _c_comma,
+}
 
 
 def _typeof(value):
@@ -1749,7 +2334,7 @@ def _array_member(array, name):
         def index_of(args, this):
             needle = args[0] if args else UNDEFINED
             for position, element in enumerate(array.elements):
-                if JsInterpreter._equals(element, needle):
+                if _equals(element, needle):
                     return float(position)
             return -1.0
         return NativeFunction("indexOf", index_of)

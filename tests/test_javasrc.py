@@ -16,6 +16,7 @@ from repro.javasrc import (
     try_parse_java,
 )
 from repro.javasrc import ast
+from repro.javasrc.codegen import _STRING_ESCAPES, _escape_string
 
 
 class TestLexer:
@@ -314,6 +315,24 @@ def webview_subclass():
     return builder.build()
 
 
+def _reference_escape(value):
+    """The per-character escaper ``_escape_string`` must match byte for
+    byte (its fast path skips this loop for text needing no escapes)."""
+    out = []
+    for char in value:
+        if char in _STRING_ESCAPES:
+            out.append(_STRING_ESCAPES[char])
+        elif ord(char) > 0xFFFF:
+            value16 = ord(char) - 0x10000
+            high, low = 0xD800 + (value16 >> 10), 0xDC00 + (value16 & 0x3FF)
+            out.append("\\u%04x\\u%04x" % (high, low))
+        elif ord(char) < 0x20 or ord(char) >= 0x7F:
+            out.append("\\u%04x" % ord(char))
+        else:
+            out.append(char)
+    return '"%s"' % "".join(out)
+
+
 class TestCodegen:
     def test_generated_source_parses(self):
         source = generate_source(webview_subclass())
@@ -394,6 +413,17 @@ class TestCodegen:
         source = generate_source(builder.build())
         assert "x.two.Helper.h2();" in source
         parse_java(source)
+
+    @given(st.one_of(
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                max_size=60),
+        st.text(alphabet=st.sampled_from(
+            'aZ09 ~/:"\\\n\t\r\b\f\0\x01\x1f\x7f\x80\xe9\u20ac'
+            '\U0001f600\U00010000'), max_size=30),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_escape_matches_per_character_reference(self, value):
+        assert _escape_string(value) == _reference_escape(value)
 
     @given(st.text(
         alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60,

@@ -196,6 +196,49 @@ class TestStatements:
             run_script("while (true) { var x = 1; }")
 
 
+class TestCallDepth:
+    def test_unbounded_recursion_is_a_runtime_error(self):
+        interpreter = JsInterpreter()
+        with pytest.raises(JsRuntimeError, match="call stack"):
+            interpreter.run("function f(n) { return f(n + 1); } f(0);")
+        again = JsInterpreter()
+        with pytest.raises(JsRuntimeError, match="call stack"):
+            again.run("function f(n) { return f(n + 1); } f(0);")
+        assert again.steps == interpreter.steps
+
+    def test_depth_limit_is_exact(self):
+        source = ("function f(n) { if (n == 0) { return 'deep'; }"
+                  " return f(n - 1); } f(%d);")
+        limit = JsInterpreter.MAX_CALL_DEPTH
+        assert JsInterpreter().run(source % (limit - 1)) == "deep"
+        with pytest.raises(JsRuntimeError, match="call stack"):
+            JsInterpreter().run(source % limit)
+
+    def test_depth_resets_after_each_call(self):
+        source = ("function f(n) { return n == 0 ? 0 : 1 + f(n - 1); }"
+                  " var t = 0; for (var i = 0; i < 5; i++) { t += f(50); } t;")
+        assert JsInterpreter().run(source) == 250.0
+
+    def test_recursion_through_natives_is_a_runtime_error(self):
+        # Each map() callback runs on a fresh interpreter, so only the
+        # last-resort RecursionError catch in run() can stop this.
+        with pytest.raises(JsRuntimeError, match="call stack"):
+            JsInterpreter().run("function g() { return [1].map(g); } g();")
+
+    def test_injected_recursion_does_not_abort_the_webview(self):
+        from repro.dynamic.device import Device
+        from repro.dynamic.webview_runtime import WebViewRuntime
+        from repro.netstack.network import Network
+
+        runtime = WebViewRuntime("com.example.app",
+                                 Device(network=Network(strict=False)))
+        assert runtime.evaluateJavascript(
+            "function f(n) { return f(n + 1); } f(0);") is None
+        assert any("Uncaught" in message and "call stack" in message
+                   for message in runtime.device.logcat.filter("chromium"))
+        assert runtime.evaluateJavascript("1 + 1") == 2.0
+
+
 class TestObjectsArraysStrings:
     def test_object_literal_and_index(self):
         source = """

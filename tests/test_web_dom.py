@@ -6,6 +6,8 @@ from repro.errors import HtmlError
 from repro.web.dom import Document, Element, TextNode
 from repro.web.htmlparser import parse_html
 from repro.web.html5_testpage import HTML5_TEST_PAGE, build_test_document
+from repro.web.jsdom import DomBridge
+from repro.web.jsengine import JsInterpreter
 from repro.web.webapi import WebApiRecorder
 
 
@@ -53,6 +55,28 @@ class TestDom:
         span = div.append_child(Element("span"))
         span.append_child(TextNode("world"))
         assert div.text_content() == "hello world"
+
+    def test_deep_nesting_text_content(self):
+        depth = 10_000
+        document = parse_html("<div>" * depth + "x" + "</div>" * depth)
+        assert document.text_content() == "x"
+        assert len(document.get_elements_by_tag_name("div")) == depth
+
+    def test_deep_nesting_through_js(self):
+        depth = 10_000
+        document = parse_html("<html><body>" + "<div>" * depth + "x"
+                              + "</div>" * depth + "</body></html>")
+        interpreter = JsInterpreter(
+            DomBridge(document, WebApiRecorder()).globals_map())
+        assert interpreter.run(
+            "document.getElementsByTagName('*').length") == depth + 2.0
+        assert interpreter.run("document.body.textContent") == "x"
+
+    def test_iter_subtree_is_preorder(self):
+        document = parse_html("<a><b><c></c></b><d>t</d></a><e></e>")
+        tags = [getattr(node, "tag", "#text")
+                for node in document.iter_subtree()]
+        assert tags == ["#document", "a", "b", "c", "d", "#text", "e"]
 
     def test_get_elements_by_tag_name(self):
         document = build_test_document()
